@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import SpfTable, is_prime, kronecker
+from .arith import is_prime, kronecker
 
 __all__ = [
     "QuadraticCharacter",
@@ -94,19 +94,18 @@ def _legendre_value_table(p: int) -> np.ndarray:
     return tab
 
 
-def bulk_values(chi: QuadraticCharacter, limit: int, table: SpfTable) -> np.ndarray:
+def bulk_values(chi: QuadraticCharacter, limit: int) -> np.ndarray:
     """chi(n) for 1 <= n <= limit as int8 (index i holds n = i + 1).
 
-    One residue table per prime factor, combined by pointwise products. The
-    result is identical to calling evaluate at every index, but the two
-    routes share no arithmetic: this one enumerates squares, evaluate runs
-    the reciprocity symbol.
+    One residue table per prime factor, rolled to hold n = 1..p and tiled
+    with period p, combined by pointwise products. The result is identical
+    to calling evaluate at every index, but the two routes share no
+    arithmetic: this one enumerates squares, evaluate runs the reciprocity
+    symbol.
     """
     if limit < 1:
         raise ValueError("limit must be positive")
-    table.require(limit)
-    n = np.arange(1, limit + 1, dtype=np.int64)
     out = np.ones(limit, dtype=np.int8)
     for p in chi.factors:
-        out *= _legendre_value_table(p)[n % p]
+        out *= np.resize(np.roll(_legendre_value_table(p), -1), limit)
     return out

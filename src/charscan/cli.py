@@ -83,17 +83,40 @@ class _CacheLock:
             fd = os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             raise OSError(
-                f"cache is locked by another run ({self.lock} exists)"
+                f"cache is locked by another run ({self.lock} exists; "
+                f"{self._holder()})"
             ) from None
         os.write(fd, f"{os.getpid()}\n".encode())
         os.close(fd)
         return self
+
+    def _holder(self) -> str:
+        """Pid recorded in the lock file and the lock's age, as far as readable."""
+        try:
+            pid = self.lock.read_text(encoding="utf-8").strip() or "unknown"
+            age = time.time() - self.lock.stat().st_mtime
+        except (OSError, UnicodeDecodeError):
+            return "holder unknown"
+        return f"holder pid {pid}, age {age:.0f} s"
 
     def __exit__(self, *exc_info) -> None:
         try:
             os.unlink(self.lock)
         except FileNotFoundError:
             pass
+
+
+def _is_scan_record(record) -> bool:
+    """True for a dict holding every field pv-scan reads, with usable types."""
+    return (
+        isinstance(record, dict)
+        and type(record.get("conductor")) is int
+        and isinstance(record.get("family"), str)
+        and type(record.get("max_abs")) is int
+        and type(record.get("argmax")) is int
+        and type(record.get("ratio_log")) in (int, float)
+        and type(record.get("ratio_loglog", 0.0)) in (int, float)
+    )
 
 
 def _load_cache(cache: Path) -> list[dict]:
@@ -106,8 +129,12 @@ def _load_cache(cache: Path) -> list[dict]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError:
+                record = None
+            if _is_scan_record(record):
+                records.append(record)
+            else:
                 print("warning: skipping malformed cache line", file=sys.stderr)
     return records
 
@@ -124,6 +151,8 @@ def _rewrite_cache(cache: Path, records: Sequence[dict]) -> None:
     with tmp.open("w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, cache)
 
 
@@ -193,10 +222,8 @@ def _cmd_pv_scan(args: argparse.Namespace) -> int:
         todo = [p for p in targets if args.force or (p, "legendre") not in seen]
         new_records: list[dict] = []
         if todo:
-            table = build_spf(max(args.pmax, 2))
-
             def scan_one(p: int) -> dict:
-                profile = max_partial_sum(legendre_character(p), table)
+                profile = max_partial_sum(legendre_character(p))
                 ratios = pv_ratios(profile)
                 record = {
                     "conductor": p,
@@ -250,8 +277,7 @@ def _cmd_pv_scan(args: argparse.Namespace) -> int:
 
 def _cmd_burgess_scan(args: argparse.Namespace) -> int:
     _capacity(args.p, args)
-    table = build_spf(max(args.p, 2))
-    points = burgess_scan(args.p, args.thetas, table)
+    points = burgess_scan(args.p, args.thetas)
     rows = [point.to_json() for point in points]
     _emit(rows, ["theta", "t", "s", "ratio"], args)
     print(
@@ -317,13 +343,14 @@ def _cmd_thm_a(args: argparse.Namespace) -> int:
             f"p = {args.p} violates the parity hypothesis p = 3 mod 4; the "
             "base character must be odd"
         )
+    # q is known only after ell is chosen; this short pre-pass finds it so the
+    # --limit guard runs before the pipeline tabulates q values.
     t_p = args.p**args.epsilon
     delta = character_log_sum(xi, t_p) / math.log(t_p)
     ell, _ = _select_ell(delta, args.p)
     q = args.p * ell
     _capacity(q, args)
-    table = build_spf(q)
-    report = theorem_a_pipeline(args.p, args.epsilon, args.c, table)
+    report = theorem_a_pipeline(args.p, args.epsilon, args.c)
     payload = report.to_json()
     payload["timestamp"] = int(time.time())
     out = Path(args.out) if args.out is not None else Path(f"thm-a-{args.p}.json")
@@ -399,7 +426,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--limit",
         type=int,
         default=DEFAULT_LIMIT,
-        help="largest factor-table capacity allowed",
+        help="largest modulus or x a run may tabulate",
     )
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument(

@@ -112,9 +112,7 @@ class LemmaBgAudit:
         return {"lhs": self.lhs, "rhs_main": self.rhs_main, "gap": self.gap}
 
 
-def verify_lemma_bg(
-    xi: QuadraticCharacter, psi: QuadraticCharacter, table: SpfTable
-) -> LemmaBgAudit:
+def verify_lemma_bg(xi: QuadraticCharacter, psi: QuadraticCharacter) -> LemmaBgAudit:
     """Compare max|S_chi|/sqrt(q) against the scaled restricted log-sum peak.
 
     chi is the product of the two odd inputs, q its modulus, and the right
@@ -131,10 +129,9 @@ def verify_lemma_bg(
     chi = product_character(xi, psi)  # also validates coprimality
     q = chi.modulus
     ell = psi.modulus
-    table.require(q)
-    profile = max_partial_sum(chi, table)
+    profile = max_partial_sum(chi)
     lhs = profile.max_abs / math.sqrt(q)
-    terms = bulk_values(xi, q, table).astype(np.float64)
+    terms = bulk_values(xi, q).astype(np.float64)
     terms /= np.arange(1, q + 1, dtype=np.float64)
     terms[ell - 1 :: ell] = 0.0
     running = np.cumsum(terms)
@@ -184,9 +181,7 @@ class WitnessReport:
         }
 
 
-def theorem_a_pipeline(
-    p: int, epsilon: float, c: float, table: SpfTable
-) -> WitnessReport:
+def theorem_a_pipeline(p: int, epsilon: float, c: float) -> WitnessReport:
     """Run the conductor-pasting construction at one (p, epsilon, c).
 
     Steps: t_p = p**epsilon; the short mean S(t_p)/t_p is checked against c
@@ -220,7 +215,6 @@ def theorem_a_pipeline(
     flags += ell_flags
     psi = legendre_character(ell)
     q = p * ell
-    table.require(q)
 
     gamma = CONSTANTS.euler_gamma
     restricted = restricted_log_sum(xi, t_p, ell)
@@ -238,7 +232,7 @@ def theorem_a_pipeline(
         ("(delta epsilon / 2)(log q - log ell)", in_q),
     )
 
-    audit = verify_lemma_bg(xi, psi, table)
+    audit = verify_lemma_bg(xi, psi)
     final_ratio = audit.lhs / math.log(q)
     return WitnessReport(
         c=c,
@@ -450,9 +444,7 @@ class BurgessPoint:
         return {"theta": self.theta, "t": self.t, "s": self.s, "ratio": self.ratio}
 
 
-def burgess_scan(
-    p: int, thetas: Sequence[float], table: SpfTable
-) -> list[BurgessPoint]:
+def burgess_scan(p: int, thetas: Sequence[float]) -> list[BurgessPoint]:
     """Exact partial sums S(p**theta) for each theta, with ratio |S|/t.
 
     Cancellation beyond the trivial bound shows up as ratio well below 1;
@@ -467,8 +459,7 @@ def burgess_scan(
     for theta in thetas:
         if not 0 < theta <= 1:
             raise ValueError("each theta must lie in (0, 1]")
-    table.require(p)
-    cs = np.cumsum(bulk_values(xi, p, table), dtype=np.int64)
+    cs = np.cumsum(bulk_values(xi, p), dtype=np.int64)
     points = []
     for theta in thetas:
         t = p**theta

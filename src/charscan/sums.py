@@ -186,18 +186,15 @@ def partial_sum(chi: QuadraticCharacter, t: float) -> int:
 
 
 def max_partial_sum(
-    chi: QuadraticCharacter,
-    table: SpfTable,
-    sample_at: Sequence[float] | None = None,
+    chi: QuadraticCharacter, sample_at: Sequence[float] | None = None
 ) -> SumProfile:
-    """One streaming pass of S(t) over t = 1..modulus, tracking the peak.
+    """Peak of |S(t)| over t = 1..modulus, from one cumulative sum of values.
 
-    Ties go to the smallest t. Optional sample_at records (t, S(t)) pairs on
-    the way through.
+    Ties go to the smallest t. Optional sample_at records (t, S(t)) pairs
+    read from the same cumulative sum.
     """
     q = chi.modulus
-    table.require(q)
-    cs = np.cumsum(bulk_values(chi, q, table), dtype=np.int64)
+    cs = np.cumsum(bulk_values(chi, q), dtype=np.int64)
     magnitudes = np.abs(cs)
     best = int(np.argmax(magnitudes))  # argmax returns the first maximizer
     samples = None

@@ -13,10 +13,5 @@ settings.load_profile("charscan")
 
 
 @pytest.fixture(scope="session")
-def spf_25k():
-    return build_spf(25_000)
-
-
-@pytest.fixture(scope="session")
 def spf_2k():
     return build_spf(2_000)

@@ -109,7 +109,7 @@ def test_criterion_2():
             odd_count = sum(1 for f in factors if f % 4 == 3)
             parity = "odd" if odd_count % 2 else "even"
             chi = QuadraticCharacter(modulus=q, factors=factors, parity=parity)
-            vals = bulk_values(chi, 2 * q, table)
+            vals = bulk_values(chi, 2 * q)
             v = vals[:q].astype(np.int64)
             assert np.array_equal(vals[q:], vals[:q]), f"period broken at q={q}"
             assert int(v.sum()) == 0, f"period sum nonzero at q={q}"
@@ -158,7 +158,6 @@ def test_criterion_4():
     with criterion(
         4, "partial-sum peak below sqrt(p) log p for every odd-parity p < 100000"
     ) as info:
-        table = build_spf(10**5)
         worst_log = 0.0
         worst_loglog = 0.0
         count = 0
@@ -166,7 +165,7 @@ def test_criterion_4():
             p = int(p)
             if p % 4 != 3:
                 continue
-            ratios = pv_ratios(max_partial_sum(legendre_character(p), table))
+            ratios = pv_ratios(max_partial_sum(legendre_character(p)))
             worst_log = max(worst_log, ratios["ratio_log"])
             if "ratio_loglog" in ratios:
                 worst_loglog = max(worst_loglog, ratios["ratio_loglog"])
@@ -204,7 +203,6 @@ def test_criterion_5():
     ) as info:
         floor = json.loads((DATA / "lemma_bg_floor.json").read_text())
         ells = tuple(floor["ells"])
-        table = build_spf(floor["p_max"] * max(ells))
         euler = {ell: _euler_criterion_table(ell) for ell in ells}
         pairs = 0
         min_gap = math.inf
@@ -217,7 +215,7 @@ def test_criterion_5():
             for ell in ells:
                 if ell == p:
                     continue
-                audit = verify_lemma_bg(xi, legendre_character(ell), table)
+                audit = verify_lemma_bg(xi, legendre_character(ell))
                 q = p * ell
                 n = np.arange(1, q + 1)
                 chi_vals = xi_table[n % p] * euler[ell][n % ell]
@@ -241,9 +239,7 @@ def test_criterion_5():
             for ell in ells:
                 if ell == p:
                     continue
-                audit = verify_lemma_bg(
-                    legendre_character(p), legendre_character(ell), table
-                )
+                audit = verify_lemma_bg(legendre_character(p), legendre_character(ell))
                 q = p * ell
                 running = 0
                 peak = 0

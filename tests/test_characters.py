@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from charscan.arith import kronecker, sieve_primes
 from charscan.characters import (
     QuadraticCharacter,
     bulk_values,
@@ -25,6 +26,27 @@ def legendre_oracle(n, p):
     if n == 0:
         return 0
     return 1 if n in square_residues(p) else -1
+
+
+def class_number(d):
+    """h(d) for a negative discriminant d = 1 (mod 4), by counting reduced forms.
+
+    A form (a, b, c) with b*b - 4ac = d is reduced when |b| <= a <= c, with
+    b >= 0 whenever |b| = a or a = c. Since d is odd, so is b. For each odd
+    b > 0 the divisors a of (b*b - d)/4 in [b, sqrt] give the forms;
+    (a, -b, c) is a second reduced form unless a = b or a = c.
+    """
+    h = 0
+    b = 1
+    while 3 * b * b <= -d:
+        ac = (b * b - d) // 4
+        a = b
+        while a * a <= ac:
+            if ac % a == 0:
+                h += 1 if a == b or a * a == ac else 2
+            a += 1
+        b += 2
+    return h
 
 
 class TestConstruction:
@@ -135,23 +157,33 @@ class TestEvaluate:
 
 
 class TestBulkValues:
-    def test_examples(self, spf_2k):
+    def test_examples(self):
         xi3 = legendre_character(3)
-        assert list(bulk_values(xi3, 6, spf_2k)) == [1, -1, 0, 1, -1, 0]
-        assert list(bulk_values(xi3, 1, spf_2k)) == [1]
+        assert list(bulk_values(xi3, 6)) == [1, -1, 0, 1, -1, 0]
+        assert list(bulk_values(xi3, 1)) == [1]
 
-    def test_nonzero_count_is_totient(self, spf_2k):
+    def test_nonzero_count_is_totient(self):
         chi21 = product_character(legendre_character(3), legendre_character(7))
-        vals = bulk_values(chi21, 21, spf_2k)
+        vals = bulk_values(chi21, 21)
         assert int(np.count_nonzero(vals)) == 12
 
-    def test_undersized_table_rejected(self, spf_2k):
+    def test_long_limit_matches_pointwise(self):
+        xi3 = legendre_character(3)
+        vals = bulk_values(xi3, 2001)
+        assert [int(v) for v in vals] == [evaluate(xi3, n) for n in range(1, 2002)]
         with pytest.raises(ValueError):
-            bulk_values(legendre_character(3), 2001, spf_2k)
-        with pytest.raises(ValueError):
-            bulk_values(legendre_character(3), 0, spf_2k)
+            bulk_values(xi3, 0)
 
-    def test_matches_pointwise_evaluate(self, spf_2k):
+    def test_half_period_sum_is_class_number_multiple(self):
+        # Dirichlet: for p = 3 (mod 4), p > 3, the sum of (n/p) over
+        # n <= (p-1)/2 is (2 - (2/p)) h(-p).
+        primes = [int(p) for p in sieve_primes(20_000) if p > 3 and p % 4 == 3]
+        assert len(primes) == 1135
+        for p in primes:
+            half = int(bulk_values(legendre_character(p), (p - 1) // 2).sum())
+            assert half == (2 - kronecker(2, p)) * class_number(-p), p
+
+    def test_matches_pointwise_evaluate(self):
         characters = [legendre_character(p) for p in (3, 5, 13, 31)]
         characters.append(
             product_character(legendre_character(3), legendre_character(11))
@@ -164,6 +196,6 @@ class TestBulkValues:
         )
         for chi in characters:
             limit = min(2 * chi.modulus + 3, 2000)
-            vals = bulk_values(chi, limit, spf_2k)
+            vals = bulk_values(chi, limit)
             for n in range(1, limit + 1):
                 assert vals[n - 1] == evaluate(chi, n)

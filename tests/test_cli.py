@@ -2,12 +2,13 @@ import csv
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
+import time
 
 import pytest
 
-from charscan.arith import build_spf
 from charscan.characters import legendre_character
 from charscan.cli import main
 from charscan.sums import max_partial_sum, pv_ratios
@@ -61,9 +62,8 @@ class TestPvScan:
     def test_records_match_library_values(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         main(["pv-scan", "3", "100", "--out", str(cache)])
-        table = build_spf(100)
         for record in read_jsonl(cache):
-            profile = max_partial_sum(legendre_character(record["conductor"]), table)
+            profile = max_partial_sum(legendre_character(record["conductor"]))
             ratios = pv_ratios(profile)
             assert record["max_abs"] == profile.max_abs
             assert record["argmax"] == profile.argmax
@@ -154,6 +154,19 @@ class TestPvScan:
         assert "locked" in capsys.readouterr().err
         assert not cache.exists()
 
+    def test_held_lock_names_holder_and_age(self, tmp_path, capsys):
+        cache = tmp_path / "cache.jsonl"
+        lock = tmp_path / "cache.jsonl.lock"
+        lock.write_text("12345\n")
+        hour_ago = time.time() - 3600
+        os.utime(lock, (hour_ago, hour_ago))
+        assert main(["pv-scan", "3", "100", "--out", str(cache)]) == 4
+        err = capsys.readouterr().err
+        assert "holder pid 12345" in err
+        age = int(err.split("age ")[1].split(" s")[0])
+        assert 3600 <= age < 3700
+        assert lock.read_text() == "12345\n"  # a held lock is never broken
+
     def test_lock_removed_after_run(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         main(["pv-scan", "3", "30", "--out", str(cache)])
@@ -177,6 +190,34 @@ class TestPvScan:
             except json.JSONDecodeError:
                 continue
         assert 7 in [r["conductor"] for r in kept]
+
+    def test_non_record_cache_lines_are_skipped(self, tmp_path, capsys):
+        cache = tmp_path / "cache.jsonl"
+        seeded = {
+            "conductor": 3, "family": "legendre", "max_abs": 1, "argmax": 1,
+            "ratio_log": 0.5255268625199614, "timestamp": 0,
+        }
+        strays = [
+            {"conductor": 3},
+            [1, 2],
+            7,
+            "legendre",
+            None,
+            {"conductor": [7], "family": "legendre"},
+            {**seeded, "conductor": 7, "ratio_log": "high"},
+        ]
+        cache.write_text(
+            "\n".join(json.dumps(r) for r in [seeded, *strays]) + "\n"
+        )
+        assert main(["pv-scan", "3", "10", "--out", str(cache)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("skipping malformed cache line") == len(strays)
+        assert "1 new, 1 cached" in captured.err
+        assert [r["conductor"] for r in json.loads(captured.out)] == [3, 7]
+        # the --force rewrite keeps only the scan records
+        assert main(["pv-scan", "3", "10", "--out", str(cache), "--force"]) == 0
+        assert [r["conductor"] for r in read_jsonl(cache)] == [3, 7]
+        assert not (tmp_path / "cache.jsonl.tmp").exists()
 
     def test_capacity_guard(self, tmp_path, capsys):
         cache = tmp_path / "cache.jsonl"

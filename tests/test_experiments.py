@@ -85,8 +85,8 @@ def rhs_oracle(xi_char, ell, q):
 
 
 class TestVerifyLemmaBg:
-    def test_hand_checked_case(self, spf_2k):
-        audit = verify_lemma_bg(xi(3), xi(7), spf_2k)
+    def test_hand_checked_case(self):
+        audit = verify_lemma_bg(xi(3), xi(7))
         # The product character mod 21 peaks at |S| = 2 (first at t = 5).
         assert audit.lhs == pytest.approx(2.0 / math.sqrt(21), rel=1e-15)
         assert audit.lhs == pytest.approx(0.4364357804719848, rel=1e-15)
@@ -94,17 +94,17 @@ class TestVerifyLemmaBg:
         assert audit.rhs_main == pytest.approx(rhs_oracle(xi(3), 7, 21), rel=1e-12)
         assert audit.gap == audit.lhs - audit.rhs_main
 
-    def test_swapping_roles_changes_only_the_bound_side(self, spf_2k):
-        ab = verify_lemma_bg(xi(3), xi(7), spf_2k)
-        ba = verify_lemma_bg(xi(7), xi(3), spf_2k)
+    def test_swapping_roles_changes_only_the_bound_side(self):
+        ab = verify_lemma_bg(xi(3), xi(7))
+        ba = verify_lemma_bg(xi(7), xi(3))
         assert ba.lhs == ab.lhs  # same product character either way
         assert ba.rhs_main == pytest.approx(rhs_oracle(xi(7), 3, 21), rel=1e-12)
         assert abs(ba.rhs_main - ab.rhs_main) > 0.1
         assert ba.gap < 0  # the bound side can exceed the normalized peak
 
-    def test_oracle_agreement_on_more_pairs(self, spf_2k):
+    def test_oracle_agreement_on_more_pairs(self):
         for p, ell in ((7, 3), (11, 3), (19, 7), (23, 11)):
-            audit = verify_lemma_bg(xi(p), xi(ell), spf_2k)
+            audit = verify_lemma_bg(xi(p), xi(ell))
             q = p * ell
             chi = product_character(xi(p), xi(ell))
             peak = max(abs(partial_sum(chi, t)) for t in range(1, q + 1))
@@ -113,27 +113,27 @@ class TestVerifyLemmaBg:
                 rhs_oracle(xi(p), ell, q), rel=1e-12
             )
 
-    def test_parity_and_shape_errors(self, spf_2k):
+    def test_parity_and_shape_errors(self):
         with pytest.raises(ValueError):
-            verify_lemma_bg(xi(5), xi(7), spf_2k)  # even first character
+            verify_lemma_bg(xi(5), xi(7))  # even first character
         with pytest.raises(ValueError):
-            verify_lemma_bg(xi(7), xi(5), spf_2k)  # even second character
+            verify_lemma_bg(xi(7), xi(5))  # even second character
         with pytest.raises(ValueError):
-            verify_lemma_bg(xi(3), xi(3), spf_2k)  # shared conductor
+            verify_lemma_bg(xi(3), xi(3))  # shared conductor
         chi21 = product_character(xi(3), xi(7))
         with pytest.raises(ValueError):
-            verify_lemma_bg(xi(11), chi21, spf_2k)  # composite restrictor
+            verify_lemma_bg(xi(11), chi21)  # composite restrictor
 
-    def test_serialized_form(self, spf_2k):
-        audit = verify_lemma_bg(xi(3), xi(7), spf_2k)
+    def test_serialized_form(self):
+        audit = verify_lemma_bg(xi(3), xi(7))
         js = audit.to_json()
         assert set(js) == {"lhs", "rhs_main", "gap"}
         assert js["gap"] == audit.gap
 
 
 class TestTheoremAPipeline:
-    def test_smallest_case_frozen(self, spf_2k):
-        report = theorem_a_pipeline(3, 0.5, 0.5, spf_2k)
+    def test_smallest_case_frozen(self):
+        report = theorem_a_pipeline(3, 0.5, 0.5)
         assert report.t_p == pytest.approx(math.sqrt(3), rel=1e-15)
         assert report.mean_xi == pytest.approx(0.5773502691896258, rel=1e-15)
         assert report.delta == pytest.approx(1.820478453253675, rel=1e-14)
@@ -150,10 +150,10 @@ class TestTheoremAPipeline:
         # delta * epsilon/2 * log p collapses to (full log sum)/2 = 1/2 here.
         assert report.chain_lines[4][1] == pytest.approx(0.5, rel=1e-12)
 
-    def test_chain_line_identities(self, spf_25k):
+    def test_chain_line_identities(self):
         for p, eps, c in ((3, 0.5, 0.5), (19, 0.5, 0.1), (43, 0.4, 0.1),
                           (163, 0.55, 0.1)):
-            report = theorem_a_pipeline(p, eps, c, spf_25k)
+            report = theorem_a_pipeline(p, eps, c)
             values = [v for _, v in report.chain_lines]
             assert len(values) == 6
             assert values[0] == report.restricted_sum
@@ -167,8 +167,8 @@ class TestTheoremAPipeline:
             assert len(set(labels)) == 6
             assert all(labels)
 
-    def test_report_invariants(self, spf_25k):
-        report = theorem_a_pipeline(19, 0.5, 0.1, spf_25k)
+    def test_report_invariants(self):
+        report = theorem_a_pipeline(19, 0.5, 0.1)
         assert report.q == report.p * report.ell
         assert report.ell % 4 == 3 and is_prime(report.ell)
         chi = product_character(xi(report.p), xi(report.ell))
@@ -185,28 +185,28 @@ class TestTheoremAPipeline:
             rel=1e-14,
         )
 
-    def test_mean_hypothesis_flagging(self, spf_2k):
-        flagged = theorem_a_pipeline(3, 0.5, 0.9, spf_2k)
+    def test_mean_hypothesis_flagging(self):
+        flagged = theorem_a_pipeline(3, 0.5, 0.9)
         assert FLAG_MEAN_HYPOTHESIS in flagged.flags
-        unflagged = theorem_a_pipeline(3, 0.5, 0.5, spf_2k)
+        unflagged = theorem_a_pipeline(3, 0.5, 0.5)
         assert FLAG_MEAN_HYPOTHESIS not in unflagged.flags
         # flagging never suppresses the rest of the report
         assert flagged.final_ratio == unflagged.final_ratio
 
-    def test_input_validation(self, spf_2k):
+    def test_input_validation(self):
         with pytest.raises(ValueError, match="3 mod 4"):
-            theorem_a_pipeline(5, 0.5, 0.5, spf_2k)
+            theorem_a_pipeline(5, 0.5, 0.5)
         with pytest.raises(ValueError):
-            theorem_a_pipeline(4, 0.5, 0.5, spf_2k)
+            theorem_a_pipeline(4, 0.5, 0.5)
         for eps in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
-                theorem_a_pipeline(3, eps, 0.5, spf_2k)
+                theorem_a_pipeline(3, eps, 0.5)
         for c in (0.0, 1.5):
             with pytest.raises(ValueError):
-                theorem_a_pipeline(3, 0.5, c, spf_2k)
+                theorem_a_pipeline(3, 0.5, c)
 
-    def test_serialized_form(self, spf_2k):
-        js = theorem_a_pipeline(3, 0.5, 0.5, spf_2k).to_json()
+    def test_serialized_form(self):
+        js = theorem_a_pipeline(3, 0.5, 0.5).to_json()
         assert js["q"] == 21
         assert js["flags"] == [FLAG_ELL_BUMPED]
         assert len(js["chain_lines"]) == 6
@@ -388,15 +388,15 @@ class TestLeastNonresidue:
 
 
 class TestBurgessScan:
-    def test_full_period_vanishes(self, spf_2k):
-        (point,) = burgess_scan(19, [1.0], spf_2k)
+    def test_full_period_vanishes(self):
+        (point,) = burgess_scan(19, [1.0])
         assert point.s == 0
         assert point.ratio == 0.0
         assert point.t == 19.0
 
-    def test_matches_point_queries(self, spf_2k):
+    def test_matches_point_queries(self):
         thetas = [0.25, 0.5, 0.75, 1.0]
-        points = burgess_scan(103, thetas, spf_2k)
+        points = burgess_scan(103, thetas)
         assert [pt.theta for pt in points] == thetas
         for pt in points:
             t = 103**pt.theta
@@ -404,20 +404,20 @@ class TestBurgessScan:
             assert pt.s == partial_sum(xi(103), t)
             assert pt.ratio == abs(pt.s) / t
             assert pt.ratio <= 1.0
+        (point,) = burgess_scan(2003, [0.5])  # p needs no factor table
+        assert point.s == partial_sum(xi(2003), 2003**0.5)
 
-    def test_serialized_form(self, spf_2k):
-        (point,) = burgess_scan(19, [0.5], spf_2k)
+    def test_serialized_form(self):
+        (point,) = burgess_scan(19, [0.5])
         assert set(point.to_json()) == {"theta", "t", "s", "ratio"}
 
-    def test_input_validation(self, spf_2k):
+    def test_input_validation(self):
         with pytest.raises(ValueError):
-            burgess_scan(5, [0.5], spf_2k)  # wrong residue class
+            burgess_scan(5, [0.5])  # wrong residue class
         with pytest.raises(ValueError):
-            burgess_scan(9, [0.5], spf_2k)  # composite
+            burgess_scan(9, [0.5])  # composite
         with pytest.raises(ValueError):
-            burgess_scan(19, [], spf_2k)
+            burgess_scan(19, [])
         for theta in (0.0, 1.2, -0.3):
             with pytest.raises(ValueError):
-                burgess_scan(19, [theta], spf_2k)
-        with pytest.raises(ValueError):
-            burgess_scan(2003, [0.5], spf_2k)  # table too small
+                burgess_scan(19, [theta])

@@ -93,25 +93,25 @@ class TestPartialSum:
 
 
 class TestMaxPartialSum:
-    def test_examples(self, spf_2k):
-        prof3 = max_partial_sum(xi(3), spf_2k)
+    def test_examples(self):
+        prof3 = max_partial_sum(xi(3))
         assert (prof3.modulus, prof3.max_abs, prof3.argmax) == (3, 1, 1)
-        prof7 = max_partial_sum(xi(7), spf_2k)
+        prof7 = max_partial_sum(xi(7))
         assert (prof7.max_abs, prof7.argmax) == (2, 2)
-        prof21 = max_partial_sum(chi21(), spf_2k)
+        prof21 = max_partial_sum(chi21())
         assert (prof21.max_abs, prof21.argmax) == (2, 5)
 
-    def test_tie_goes_to_smallest_t(self, spf_2k):
+    def test_tie_goes_to_smallest_t(self):
         # xi mod 11 reaches |S| = 3 several times; the first is t = 7.
-        prof = max_partial_sum(xi(11), spf_2k)
+        prof = max_partial_sum(xi(11))
         assert prof.argmax == min(
             t for t in range(1, 12)
             if abs(partial_sum(xi(11), t)) == prof.max_abs
         )
 
-    def test_peak_matches_point_queries(self, spf_2k):
+    def test_peak_matches_point_queries(self):
         for chi in (xi(19), xi(43), chi21(), product_character(xi(3), xi(11))):
-            prof = max_partial_sum(chi, spf_2k)
+            prof = max_partial_sum(chi)
             assert abs(partial_sum(chi, prof.argmax)) == prof.max_abs
             for t in range(1, prof.argmax):
                 assert abs(partial_sum(chi, t)) < prof.max_abs
@@ -119,25 +119,31 @@ class TestMaxPartialSum:
                 abs(partial_sum(chi, t)) for t in range(1, chi.modulus + 1)
             )
 
-    def test_samples(self, spf_2k):
-        prof = max_partial_sum(xi(7), spf_2k, sample_at=[2.5, 7.0, 0.5])
+    def test_samples(self):
+        prof = max_partial_sum(xi(7), sample_at=[2.5, 7.0, 0.5])
         assert prof.samples == ((2.5, 2), (7.0, 0), (0.5, 0))
         assert prof.to_json()["samples"] == [[2.5, 2], [7.0, 0], [0.5, 0]]
 
-    def test_streaming_matches_pointwise_at_random_cuts(self, spf_2k):
+    def test_streaming_matches_pointwise_at_random_cuts(self):
         rng = np.random.default_rng(42)
         chi = xi(1019)
         cuts = [float(t) for t in rng.uniform(0.0, 1019.0, size=100)]
-        prof = max_partial_sum(chi, spf_2k, sample_at=cuts)
+        prof = max_partial_sum(chi, sample_at=cuts)
         for t, s in prof.samples:
             assert s == partial_sum(chi, t)
 
-    def test_undersized_table_rejected(self, spf_2k):
-        with pytest.raises(ValueError):
-            max_partial_sum(xi(2003), spf_2k)
+    def test_large_modulus_matches_point_queries(self):
+        chi = xi(2003)
+        prof = max_partial_sum(chi)
+        running, peak, first = 0, 0, 0
+        for n in range(1, chi.modulus + 1):
+            running += evaluate(chi, n)
+            if abs(running) > peak:
+                peak, first = abs(running), n
+        assert (prof.max_abs, prof.argmax) == (peak, first)
 
-    def test_serialized_form(self, spf_2k):
-        prof = max_partial_sum(xi(3), spf_2k)
+    def test_serialized_form(self):
+        prof = max_partial_sum(xi(3))
         assert prof.to_json() == {"modulus": 3, "max_abs": 1, "argmax": 1}
 
 
@@ -320,13 +326,13 @@ class TestHtIngredients:
 
 
 class TestPvRatios:
-    def test_small_modulus_frozen(self, spf_2k):
-        ratios = pv_ratios(max_partial_sum(xi(3), spf_2k))
+    def test_small_modulus_frozen(self):
+        ratios = pv_ratios(max_partial_sum(xi(3)))
         assert ratios["ratio_log"] == pytest.approx(0.5255268625199614, rel=1e-15)
         assert "ratio_loglog" not in ratios
 
-    def test_loglog_present_from_sixteen(self, spf_2k):
-        prof = max_partial_sum(xi(19), spf_2k)
+    def test_loglog_present_from_sixteen(self):
+        prof = max_partial_sum(xi(19))
         ratios = pv_ratios(prof)
         root = math.sqrt(19)
         assert ratios["ratio_log"] == pytest.approx(

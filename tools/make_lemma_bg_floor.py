@@ -11,7 +11,7 @@ so the bound audit cannot regress silently. Run from the repository root:
 import json
 from pathlib import Path
 
-from charscan.arith import build_spf, sieve_primes
+from charscan.arith import sieve_primes
 from charscan.characters import legendre_character
 from charscan.experiments import verify_lemma_bg
 
@@ -20,7 +20,6 @@ ELLS = (3, 7, 11)
 
 
 def main() -> None:
-    table = build_spf(P_MAX * max(ELLS))
     worst = None
     count = 0
     for p in sieve_primes(P_MAX):
@@ -31,7 +30,7 @@ def main() -> None:
         for ell in ELLS:
             if ell == p:
                 continue
-            audit = verify_lemma_bg(xi, legendre_character(ell), table)
+            audit = verify_lemma_bg(xi, legendre_character(ell))
             count += 1
             if worst is None or audit.gap < worst[0]:
                 worst = (audit.gap, p, ell)
