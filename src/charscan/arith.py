@@ -155,21 +155,21 @@ def _expand_multiplicative(
     prime_vals is indexed by n, with prime_vals[p] = f(p) at primes and
     prime_vals[1] = 1; composite entries are ignored. Returns v with
     v[n] = f(n) for n >= 1 and v[0] = 0. The recurrence
-    v[n] = f(spf[n]) * v[n // spf[n]] is applied in whole-array rounds;
-    round r settles every n with at most r prime factors, so
-    floor(log2(limit)) rounds settle everything.
+    v[n] = f(spf[n]) * v[n // spf[n]] is applied to the doubling blocks
+    [2^k, 2^(k+1)) in order: every cofactor n // spf[n] <= n / 2 lies in an
+    earlier block and is already final, so one pass settles everything.
     """
     table.require(limit)
-    spf = table.spf[: limit + 1].astype(np.int64)
-    spf[0] = 1  # row 0 is discarded; avoids a zero division below
-    n = np.arange(limit + 1, dtype=np.int64)
-    cof = n // spf
-    cof[1] = 1
-    base = prime_vals[spf]
-    v = np.ones(limit + 1, dtype=prime_vals.dtype)
-    for _ in range(max(limit.bit_length() - 1, 1)):
-        v = base * v[cof]
+    spf = table.spf
+    v = np.empty(limit + 1, dtype=prime_vals.dtype)
     v[0] = 0
+    v[1] = 1
+    lo = 2
+    while lo <= limit:
+        hi = min(2 * lo, limit + 1)
+        s = spf[lo:hi]
+        v[lo:hi] = prime_vals[s] * v[np.arange(lo, hi, dtype=s.dtype) // s]
+        lo = hi
     return v
 
 

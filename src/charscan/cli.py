@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith import SearchExhaustedError, build_spf, sieve_primes
+from .arith import SearchExhaustedError, sieve_primes
 from .characters import legendre_character
 from .experiments import (
     _select_ell,
@@ -39,10 +39,10 @@ from .experiments import (
 )
 from .sums import (
     CompletelyMultiplicativeFunction,
+    _log_mean_of,
+    _mean_of,
     character_log_sum,
-    log_mean,
     max_partial_sum,
-    mean,
     pv_ratios,
 )
 
@@ -292,13 +292,13 @@ def _cmd_means(args: argparse.Namespace) -> int:
     m = math.floor(args.x)
     _capacity(m, args)
     label, f = _make_function(args, m)
-    table = build_spf(max(m, 2))
+    vals = f.values_upto(args.x)
     rows = [
         {
             "f": label,
             "x": args.x,
-            "mean": mean(f, args.x, table),
-            "log_mean": log_mean(f, args.x, table),
+            "mean": _mean_of(vals, args.x),
+            "log_mean": _log_mean_of(vals, args.x),
         }
     ]
     _emit(rows, ["f", "x", "mean", "log_mean"], args)
@@ -314,8 +314,7 @@ def _cmd_lemma_b(args: argparse.Namespace) -> int:
         _emit(rows, ["delta_hat", "worst_f", "qualifying", "candidates"], args)
         return 0
     label, f = _make_function(args, m)
-    table = build_spf(max(m, 2))
-    report = lemma_b_report(f, args.x, table, min_x=args.min_x)
+    report = lemma_b_report(f, args.x, min_x=args.min_x)
     rows = [{"f": label, **report.to_json()}]
     _emit(
         rows,
@@ -479,9 +478,11 @@ def build_parser() -> argparse.ArgumentParser:
         "lemma-b", help="means report, or a delta estimate with --trials/--c"
     )
     p.add_argument("x", type=float)
-    p.add_argument("--f", choices=["ones", "liouville", "random"], default="liouville")
-    p.add_argument("--flip", type=int, nargs="*", default=[])
-    p.add_argument("--min-x", type=float, default=100.0)
+    # None marks "not given": these select the reported function, which
+    # --trials replaces by its own sample, so _validate rejects them there.
+    p.add_argument("--f", choices=["ones", "liouville", "random"], default=None)
+    p.add_argument("--flip", type=int, nargs="*", default=None)
+    p.add_argument("--min-x", type=float, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--c", type=float, default=None)
     _add_common(p)
@@ -512,7 +513,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Range checks on numeric arguments; violations exit 2 before dispatch."""
+    """Range and combination checks; violations exit 2 before dispatch.
+
+    Also fills in the lemma-b report defaults that the parser leaves unset.
+    """
     if args.workers < 1:
         parser.error("--workers must be at least 1")
     if args.limit < 2:
@@ -539,6 +543,15 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             parser.error("--trials must be positive")
         if args.c is not None and not 0 < args.c <= 1:
             parser.error("--c must lie in (0, 1]")
+        chosen = [args.f, args.flip, args.min_x]
+        if args.trials is not None and any(v is not None for v in chosen):
+            parser.error("--f, --flip and --min-x do not apply with --trials")
+        if args.f is None:
+            args.f = "liouville"
+        if args.flip is None:
+            args.flip = []
+        if args.min_x is None:
+            args.min_x = 100.0
     elif cmd == "thm-a":
         if args.p < 3:
             parser.error("p must be at least 3")

@@ -38,13 +38,13 @@ from .sums import (
     CONSTANTS,
     CompletelyMultiplicativeFunction,
     MeansReport,
+    _conv_mean_of,
+    _log_mean_of,
+    _mean_of,
     character_log_sum,
-    conv_mean,
     gs_bound,
     ht_u,
-    log_mean,
     max_partial_sum,
-    mean,
     partial_sum,
     restricted_log_sum,
 )
@@ -268,17 +268,16 @@ def lemma_b_report(
     """
     if x < 2:
         raise ValueError("x must be at least 2")
-    if table is None:
-        table = build_spf(max(math.floor(x), 2))
-    m = mean(f, x, table)
+    vals = f.values_upto(x, table)
+    m = _mean_of(vals, x)
     u = ht_u(f, x)
     flags = (FLAG_BELOW_MIN_X,) if x < min_x else ()
     return MeansReport(
         x=float(x),
         mean=m,
-        log_mean=log_mean(f, x, table),
+        log_mean=_log_mean_of(vals, x),
         u=u,
-        conv_mean=conv_mean(f, x, table),
+        conv_mean=_conv_mean_of(vals, x),
         gs_bound=gs_bound(u, x),
         ht_envelope=math.exp(-CONSTANTS.kappa * u),
         ht_constant=abs(m) * math.exp(CONSTANTS.kappa * u),
@@ -336,9 +335,10 @@ def estimate_delta(c: float, x: float, trials: int, seed: int) -> DeltaEstimate:
     best: tuple[float, str] | None = None
     qualifying = 0
     for label, f in candidates:
-        if abs(mean(f, x, table)) >= c:
+        vals = f.values_upto(x, table)
+        if abs(_mean_of(vals, x)) >= c:
             qualifying += 1
-            value = log_mean(f, x, table)
+            value = _log_mean_of(vals, x)
             if best is None or value < best[0]:
                 best = (value, label)
     if best is None:

@@ -1,16 +1,22 @@
 """Partial sums, means, logarithmic means, and the convolution rearrangement.
 
 Character partial sums are exact integers. Only the f(n)/n style sums
-introduce floating point, and those go through math.fsum (exactly rounded),
-so quoted 1e-9 tolerances are dominated by the mathematics rather than the
-summation order.
+introduce floating point, and those are exactly rounded: sums over numpy
+arrays go through the blocked exact summation _exact_sum, which equals
+math.fsum, and the short generator sums over character values use math.fsum
+itself. Quoted 1e-9 tolerances are therefore dominated by the mathematics
+rather than the summation order.
+
+A completely multiplicative function stores its prime values once, as a
+float64 array aligned with sieve_primes(limit); callers that need several
+statistics of one (f, x) expand f once with values_upto.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +45,14 @@ _EULER_GAMMA = 0.57721566490153286
 _C_ODD = math.exp(_EULER_GAMMA) / math.pi
 _C_EVEN = _C_ODD / math.sqrt(3.0)
 
+# _exact_sum works in blocks of this many elements, so its temporaries stay
+# small and a block's per-exponent mantissa sums stay below 2^53.
+_SUM_BLOCK = 1 << 16
+# frexp exponents of finite nonzero doubles lie in [-1073, 1024]; shifted by
+# this offset they index bincount bins from 1, in units of 2^-1127.
+_EXP_OFFSET = 1074
+_SUM_SCALE = 1 << (_EXP_OFFSET + 53)
+
 
 @dataclass(frozen=True)
 class Constants:
@@ -59,34 +73,95 @@ class Constants:
 CONSTANTS = Constants()
 
 
+def _prime_index(primes: np.ndarray, p) -> int | None:
+    """Position of p in the sorted primes, or None if p is not among them."""
+    i = int(np.searchsorted(primes, p))
+    if i < len(primes) and primes[i] == p:
+        return i
+    return None
+
+
+class _PrimeValues(Mapping[int, float]):
+    """Read-only {p: f(p)} view of values aligned with sieve_primes(limit).
+
+    It copies nothing: lookup, iteration and comparison read the two arrays.
+    """
+
+    def __init__(self, primes: np.ndarray, values: np.ndarray, limit: int):
+        self._primes = primes
+        self._values = values
+        self._limit = limit
+
+    def __getitem__(self, p) -> float:
+        i = _prime_index(self._primes, p)
+        if i is None:
+            raise KeyError(p)
+        return float(self._values[i])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._primes.tolist())
+
+    def __len__(self) -> int:
+        return len(self._primes)
+
+
+def _from_mapping(
+    given: Mapping[int, float], limit: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (primes, values) aligned with sieve_primes(limit), from {p: f(p)}."""
+    keys = list(given)
+    values = np.array([given[p] for p in keys], dtype=np.float64)
+    outside = np.flatnonzero(~((values >= -1.0) & (values <= 1.0)))
+    if len(outside):
+        i = outside[0]
+        raise ValueError(f"f({keys[i]}) = {values[i]} lies outside [-1, 1]")
+    primes = sieve_primes(limit)
+    if sorted(keys) != primes.tolist():
+        raise ValueError("prime_values must cover exactly the primes <= limit")
+    return primes, values[np.argsort(keys)]
+
+
 @dataclass(frozen=True, eq=False)
 class CompletelyMultiplicativeFunction:
     """f with f(1) = 1 and f(mn) = f(m) f(n), pinned by prime values in [-1, 1].
 
     prime_values must hold exactly the primes up to limit so that every f(n)
-    with n <= limit is determined.
+    with n <= limit is determined. The values are stored once, as the
+    read-only float64 array `values` aligned with `primes` =
+    sieve_primes(limit); after construction prime_values is a read-only
+    mapping view of those two arrays.
     """
 
     prime_values: Mapping[int, float]
     limit: int
+    primes: np.ndarray = field(init=False, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.limit < 1:
             raise ValueError("limit must be positive")
-        for p, v in self.prime_values.items():
-            if not -1.0 <= v <= 1.0:
-                raise ValueError(f"f({p}) = {v} lies outside [-1, 1]")
-        expected = [int(p) for p in sieve_primes(self.limit)]
-        if sorted(self.prime_values) != expected:
-            raise ValueError("prime_values must cover exactly the primes <= limit")
+        view = self.prime_values
+        if isinstance(view, _PrimeValues) and view._limit == self.limit:
+            # Built by this class from sieve_primes(limit): valid as it stands.
+            primes, values = view._primes, view._values
+        else:
+            primes, values = _from_mapping(view, self.limit)
+            view = _PrimeValues(primes, values, self.limit)
+        primes.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "prime_values", view)
+        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def ones(cls, limit: int) -> "CompletelyMultiplicativeFunction":
-        return cls({int(p): 1.0 for p in sieve_primes(limit)}, limit)
+        ps = sieve_primes(limit)
+        return cls(_PrimeValues(ps, np.ones(len(ps)), limit), limit)
 
     @classmethod
     def liouville(cls, limit: int) -> "CompletelyMultiplicativeFunction":
-        return cls({int(p): -1.0 for p in sieve_primes(limit)}, limit)
+        ps = sieve_primes(limit)
+        return cls(_PrimeValues(ps, np.full(len(ps), -1.0), limit), limit)
 
     @classmethod
     def random(
@@ -94,16 +169,17 @@ class CompletelyMultiplicativeFunction:
     ) -> "CompletelyMultiplicativeFunction":
         ps = sieve_primes(limit)
         vals = rng.uniform(-1.0, 1.0, size=len(ps))
-        return cls({int(p): float(v) for p, v in zip(ps, vals)}, limit)
+        return cls(_PrimeValues(ps, vals, limit), limit)
 
     def flip(self, primes_to_flip: Sequence[int]) -> "CompletelyMultiplicativeFunction":
         """Negate f at the given primes (each must be a prime <= limit)."""
-        new = dict(self.prime_values)
+        values = self.values.copy()
         for p in primes_to_flip:
-            if p not in new:
+            i = _prime_index(self.primes, p)
+            if i is None:
                 raise ValueError(f"{p} is not a prime <= {self.limit}")
-            new[p] = -new[p]
-        return CompletelyMultiplicativeFunction(new, self.limit)
+            values[i] = -values[i]
+        return type(self)(_PrimeValues(self.primes, values, self.limit), self.limit)
 
     def values_upto(self, x: float, table: SpfTable | None = None) -> np.ndarray:
         """f(1..floor(x)) as float64 (index i holds n = i + 1)."""
@@ -116,10 +192,9 @@ class CompletelyMultiplicativeFunction:
             return np.ones(1)
         if table is None:
             table = build_spf(m)
+        k = np.searchsorted(self.primes, m, side="right")
         pv = np.ones(m + 1)
-        for p, v in self.prime_values.items():
-            if p <= m:
-                pv[p] = v
+        pv[self.primes[:k]] = self.values[:k]
         return _expand_multiplicative(pv, table, m)[1:]
 
 
@@ -211,24 +286,60 @@ def max_partial_sum(
     )
 
 
+def _exact_sum(a: np.ndarray) -> float:
+    """Correctly rounded sum of a float64 array; equals math.fsum(a).
+
+    Each element is split by frexp into a 53-bit integer mantissa and an
+    exponent. Per block of _SUM_BLOCK elements, the mantissas are summed per
+    exponent with bincount in two halves (high 27 bits, low 26 bits), so every
+    float64 partial sum stays below 2^53 and is exact. The per-exponent sums
+    are combined as one Python integer in units of 2^-1127, and a single
+    int/int true division, which is correctly rounded, gives the result.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    total = 0
+    for start in range(0, len(a), _SUM_BLOCK):
+        block = a[start : start + _SUM_BLOCK]
+        if not np.isfinite(block).all():
+            raise ValueError("cannot sum non-finite values")
+        mantissa, exponent = np.frexp(block)
+        high = np.floor(np.ldexp(mantissa, 27))
+        low = np.ldexp(mantissa, 53) - np.ldexp(high, 26)
+        shift = exponent + _EXP_OFFSET
+        high_sums = np.bincount(shift, weights=high)
+        low_sums = np.bincount(shift, weights=low)
+        for e in np.flatnonzero((high_sums != 0) | (low_sums != 0)).tolist():
+            total += ((int(high_sums[e]) << 26) + int(low_sums[e])) << e
+    return total / _SUM_SCALE
+
+
+def _mean_of(vals: np.ndarray, x: float) -> float:
+    return _exact_sum(vals) / x
+
+
+def _log_mean_of(vals: np.ndarray, x: float) -> float:
+    if x < 2:
+        raise ValueError("x must be at least 2 for the log normalization")
+    return _exact_sum(vals / np.arange(1, len(vals) + 1)) / math.log(x)
+
+
+def _conv_mean_of(vals: np.ndarray, x: float) -> float:
+    m = len(vals)
+    return _exact_sum(vals * (m // np.arange(1, m + 1))) / x
+
+
 def mean(
     f: CompletelyMultiplicativeFunction, x: float, table: SpfTable | None = None
 ) -> float:
-    """(1/x) * sum of f(n) over n <= x."""
-    if x < 1:
-        raise ValueError("x must be at least 1")
-    vals = f.values_upto(x, table)
-    return math.fsum(vals) / x
+    """(1/x) * sum of f(n) over n <= x; needs x >= 1."""
+    return _mean_of(f.values_upto(x, table), x)
 
 
 def log_mean(
     f: CompletelyMultiplicativeFunction, x: float, table: SpfTable | None = None
 ) -> float:
     """(1/log x) * sum of f(n)/n over n <= x; needs x >= 2."""
-    if x < 2:
-        raise ValueError("x must be at least 2 for the log normalization")
-    vals = f.values_upto(x, table)
-    return math.fsum(vals / np.arange(1, len(vals) + 1)) / math.log(x)
+    return _log_mean_of(f.values_upto(x, table), x)
 
 
 def character_log_sum(chi: QuadraticCharacter, t: float) -> float:
@@ -254,18 +365,12 @@ def conv_mean(
 
     Rearranged exactly as sum_d f(d) floor(x/d); floor(x/d) equals
     floor(floor(x)/d) for integer d, so the counts stay in exact integers.
+    Needs x >= 1.
     """
-    if x < 1:
-        raise ValueError("x must be at least 1")
-    vals = f.values_upto(x, table)
-    m = len(vals)
-    counts = m // np.arange(1, m + 1)
-    return math.fsum(vals * counts) / x
+    return _conv_mean_of(f.values_upto(x, table), x)
 
 
-def ht_u(
-    f: CompletelyMultiplicativeFunction, x: float, primes: np.ndarray | None = None
-) -> float:
+def ht_u(f: CompletelyMultiplicativeFunction, x: float) -> float:
     """u = sum over primes p <= x of (1 - f(p))/p.
 
     Zero exactly when f is 1 on every prime up to x; grows as f moves away
@@ -276,11 +381,8 @@ def ht_u(
     m = math.floor(x)
     if m > f.limit:
         raise ValueError(f"f is only defined up to {f.limit}, need {m}")
-    if primes is None:
-        primes = sieve_primes(m)
-    return math.fsum(
-        (1.0 - f.prime_values[int(p)]) / int(p) for p in primes if p <= m
-    )
+    k = np.searchsorted(f.primes, m, side="right")
+    return _exact_sum((1.0 - f.values[:k]) / f.primes[:k])
 
 
 def gs_bound(u: float, x: float) -> float:

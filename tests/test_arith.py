@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from charscan.arith import (
     SearchExhaustedError,
+    _expand_multiplicative,
     build_spf,
     is_prime,
     kronecker,
@@ -45,6 +46,22 @@ def trial_omega(n):
 
 def square_residues(p):
     return {k * k % p for k in range(1, p)}
+
+
+def rounds_expand(prime_vals, table, limit):
+    """Reference expansion: v[n] = f(spf[n]) * v[n // spf[n]] in whole-array
+    rounds; round r settles every n with at most r prime factors."""
+    spf = table.spf[: limit + 1].astype(np.int64)
+    spf[0] = 1
+    n = np.arange(limit + 1, dtype=np.int64)
+    cof = n // spf
+    cof[1] = 1
+    base = prime_vals[spf]
+    v = np.ones(limit + 1, dtype=prime_vals.dtype)
+    for _ in range(max(limit.bit_length() - 1, 1)):
+        v = base * v[cof]
+    v[0] = 0
+    return v
 
 
 class TestSievePrimes:
@@ -168,6 +185,35 @@ class TestLiouville:
         for m in range(1, limit + 1):
             for n in range(1, limit // m + 1):
                 assert lam[m * n - 1] == lam[m - 1] * lam[n - 1]
+
+
+EXPANSION_LIMITS = sorted(
+    {2, 3, 10**5}
+    | {2**k + d for k in (2, 3, 4, 7, 12, 16) for d in (-1, 0, 1)}
+)
+
+
+class TestExpandMultiplicative:
+    @pytest.fixture(scope="class")
+    def wide_table(self):
+        return build_spf(10**5 + 1)
+
+    @pytest.mark.parametrize("limit", EXPANSION_LIMITS)
+    def test_matches_rounds_reference(self, limit, wide_table):
+        rng = np.random.default_rng(limit)
+        floats = rng.uniform(-1.0, 1.0, size=limit + 1)
+        signs = rng.integers(-1, 2, size=limit + 1).astype(np.int8)
+        for prime_vals in (floats, signs):
+            prime_vals[1] = 1
+            for table in (build_spf(limit), wide_table):
+                got = _expand_multiplicative(prime_vals, table, limit)
+                want = rounds_expand(prime_vals, table, limit)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (limit, prime_vals.dtype)
+
+    def test_undersized_table_rejected(self):
+        with pytest.raises(ValueError):
+            _expand_multiplicative(np.ones(101), build_spf(50), 100)
 
 
 class TestSmallestPrimeAbove:

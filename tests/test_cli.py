@@ -373,6 +373,20 @@ class TestMeansAndLemmaB:
         assert row["delta_hat"] == pytest.approx(1.083632896394867, rel=1e-12)
         assert row["worst_f"] == "ones"
 
+    def test_lemma_b_estimate_rejects_function_options(self, capsys):
+        # --trials samples its own functions, so options that choose the
+        # reported function would be silently ignored; they are rejected.
+        base = ["lemma-b", "1000", "--trials", "20", "--c", "0.9"]
+        assert main(base + ["--flip", "4"]) == 2
+        assert main(base + ["--f", "ones"]) == 2
+        assert main(base + ["--min-x", "10"]) == 2
+        assert main(base + ["--flip"]) == 2
+        assert "do not apply with --trials" in capsys.readouterr().err
+        assert main(["lemma-b", "150", "--min-x", "200", "--flip", "2"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert row["f"] == "liouville+flip[2]"
+        assert row["flags"] == ["below_min_x"]
+
     def test_lemma_b_estimate_needs_both_flags(self, capsys):
         assert main(["lemma-b", "1000", "--trials", "20"]) == 2
         assert main(["lemma-b", "1000", "--c", "0.5"]) == 2

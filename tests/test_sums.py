@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from charscan import sums
+from charscan.arith import sieve_primes
 from charscan.characters import evaluate, legendre_character, product_character
 from charscan.sums import (
+    _SUM_BLOCK,
     CONSTANTS,
     CompletelyMultiplicativeFunction,
     SumProfile,
@@ -19,10 +22,19 @@ from charscan.sums import (
     mean,
     partial_sum,
     pv_ratios,
+    _exact_sum,
     restricted_log_sum,
 )
 
 CMF = CompletelyMultiplicativeFunction
+
+# Finite doubles for the exact-sum property: both signs, exponents from -1000
+# to 300, subnormals and signed zeros.
+finite_doubles = st.one_of(
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1000, 300)),
+    st.floats(-(2.0**-1022), 2.0**-1022),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 2.0**-53]),
+)
 
 
 def xi(p):
@@ -193,6 +205,47 @@ class TestMultiplicativeFunctions:
         with pytest.raises(ValueError):
             CMF.ones(30).flip([31])
 
+    def test_prime_values_is_a_read_only_view(self):
+        f = CMF.random(50, np.random.default_rng(4))
+        with pytest.raises(TypeError):
+            f.prime_values[2] = 0.5
+        with pytest.raises(ValueError):
+            f.values[0] = 0.5
+        assert list(f.prime_values) == list(sieve_primes(50))
+        assert CMF.ones(10).prime_values == {2: 1.0, 3: 1.0, 5: 1.0, 7: 1.0}
+        assert 4 not in f.prime_values and 47 in f.prime_values
+
+    def test_mapping_in_any_order_is_aligned(self):
+        f = CMF.random(200, np.random.default_rng(6))
+        backwards = dict(reversed(list(f.prime_values.items())))
+        g = CMF(backwards, 200)
+        assert np.array_equal(g.values, f.values)
+        assert g.values_upto(200).tobytes() == f.values_upto(200).tobytes()
+
+    def test_random_draws_one_uniform_per_prime(self):
+        f = CMF.random(1000, np.random.default_rng(8))
+        expected = np.random.default_rng(8).uniform(
+            -1, 1, size=len(sieve_primes(1000))
+        )
+        assert np.array_equal(f.values, expected)
+        assert list(f.prime_values.values()) == expected.tolist()
+
+    def test_sieves_at_most_once_per_function(self, monkeypatch):
+        calls = []
+
+        def counting_sieve(limit):
+            calls.append(limit)
+            return sieve_primes(limit)
+
+        monkeypatch.setattr(sums, "sieve_primes", counting_sieve)
+        f = CMF.ones(1000)
+        g = f.flip([2, 3]).flip([997])
+        g.values_upto(1000)
+        f.values_upto(500)
+        assert len(calls) == 1
+        CMF({2: 1.0, 3: -1.0, 5: 0.5, 7: 0.0}, 7).values_upto(7)
+        assert len(calls) == 2
+
     def test_values_upto_bounds(self):
         f = CMF.ones(10)
         assert list(f.values_upto(1)) == [1.0]
@@ -250,6 +303,48 @@ class TestMeans:
             assert gap <= 1.0 + 1e-9
 
 
+class TestExactSum:
+    @given(st.lists(finite_doubles, max_size=80))
+    def test_equals_fsum(self, values):
+        assert _exact_sum(np.array(values, dtype=np.float64)) == math.fsum(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [1.0, 2.0**-53, 2.0**-53 * (1 + 2.0**-52)],
+            [1.0, 2.0**-53],
+            [1e300, 1.0, -1e300],
+            [2.0**-1074] * 3,
+            [-0.0, -0.0],
+            [0.1] * 10,
+            [1.0, -(1.0 - 2.0**-53), -(2.0**-53)],
+        ],
+    )
+    def test_cancellation_and_rounding_cases(self, values):
+        assert _exact_sum(np.array(values, dtype=np.float64)) == math.fsum(values)
+
+    def test_arrays_longer_than_one_block(self):
+        rng = np.random.default_rng(13)
+        n = 3 * _SUM_BLOCK + 17
+        spread = rng.uniform(-1.0, 1.0, n) * np.exp2(rng.integers(-1000, 300, n))
+        assert _exact_sum(spread) == math.fsum(spread)
+        f = CMF.random(3 * 10**5, rng)
+        vals = f.values_upto(3 * 10**5)
+        ns = np.arange(1, len(vals) + 1)
+        for terms in (vals, vals / ns, vals * (len(vals) // ns)):
+            assert _exact_sum(terms) == math.fsum(terms)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            _exact_sum(np.array([1.0, bad]))
+        late = np.zeros(_SUM_BLOCK + 5)
+        late[-1] = bad
+        with pytest.raises(ValueError):
+            _exact_sum(late)
+
+
 class TestLogSums:
     def test_character_log_sum(self):
         assert character_log_sum(xi(3), 0.5) == 0.0
@@ -305,6 +400,14 @@ class TestHtIngredients:
         f = CMF.liouville(300)
         us = [ht_u(f, x) for x in (10, 50, 150, 300)]
         assert us == sorted(us)
+
+    def test_u_matches_prime_loop(self):
+        f = CMF.random(5000, np.random.default_rng(2))
+        for x in (2, 2.5, 97, 1000.7, 5000):
+            expected = math.fsum(
+                (1.0 - f.prime_values[int(p)]) / int(p) for p in sieve_primes(int(x))
+            )
+            assert ht_u(f, x) == expected
 
     def test_u_errors(self):
         with pytest.raises(ValueError):
