@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -29,6 +29,7 @@ import numpy as np
 from .arith import SearchExhaustedError, sieve_primes
 from .characters import legendre_character
 from .experiments import (
+    CounterexampleHits,
     _select_ell,
     burgess_scan,
     counterexample_search,
@@ -61,6 +62,17 @@ SCAN_COLUMNS = [
     "ratio_loglog",
     "timestamp",
 ]
+
+# Counterexample rows are formatted and written this many at a time, so the
+# whole text is never held in memory.
+_HIT_CHUNK = 1 << 14
+# One row as json.dumps(rows, indent=2) and csv.DictWriter lay it out.
+_JSON_HIT = (
+    '  {\n    "flipped_primes": %s,\n    "N": %d,\n    "mean_at_N": %r,\n'
+    '    "log_mean_at_N": %r,\n    "ratio": %r\n  }'
+)
+_CSV_HEADER = "flipped_primes,N,mean_at_N,log_mean_at_N,ratio\n"
+_CSV_HIT = "%s,%d,%r,%r,%r\n"
 
 # 1/(4 sqrt e), the classical conditional barrier for least-nonresidue growth.
 _NONRESIDUE_BARRIER = 1.0 / (4.0 * math.exp(0.5))
@@ -175,13 +187,52 @@ def _render(rows: list[dict], columns: list[str], fmt: str) -> str:
     return json.dumps(rows, indent=2) + "\n"
 
 
+def _write(chunks: Iterable[str], args: argparse.Namespace) -> None:
+    """Write text chunks to --out, or stdout when no path was given."""
+    if args.out is None:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        return
+    with Path(args.out).open("w", encoding="utf-8") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+
+
 def _emit(rows: list[dict], columns: list[str], args: argparse.Namespace) -> None:
     """Write rows as JSON or CSV to --out, or stdout when no path was given."""
-    text = _render(rows, columns, args.format)
-    if args.out is None:
-        sys.stdout.write(text)
+    _write([_render(rows, columns, args.format)], args)
+
+
+def _hit_chunks(hits: CounterexampleHits, fmt: str) -> Iterator[str]:
+    """The text _render would give for the hits' rows, _HIT_CHUNK rows at a time.
+
+    Each row is one %-format of column values: %d for N, and %r for the
+    floats, which prints the repr that json.dumps and csv both write.
+    """
+    if fmt == "csv":
+        heads = [";".join(str(p) for p in subset) for subset in hits.subsets]
+        template, sep, opening, closing = _CSV_HIT, "", _CSV_HEADER, ""
+    elif len(hits):
+        heads = [
+            json.dumps(list(subset), indent=2).replace("\n", "\n    ")
+            for subset in hits.subsets
+        ]
+        template, sep, opening, closing = _JSON_HIT, ",\n", "[\n", "\n]\n"
     else:
-        Path(args.out).write_text(text, encoding="utf-8")
+        yield "[]\n"
+        return
+    yield opening
+    for start in range(0, len(hits), _HIT_CHUNK):
+        chunk = hits[start : start + _HIT_CHUNK]
+        rows = zip(
+            [heads[s] for s in chunk.subset.tolist()],
+            chunk.N.tolist(),
+            chunk.mean_at_N.tolist(),
+            chunk.log_mean_at_N.tolist(),
+            chunk.ratio.tolist(),
+        )
+        yield (sep if start else "") + sep.join(map(template.__mod__, rows))
+    yield closing
 
 
 def _make_function(
@@ -398,18 +449,9 @@ def _cmd_nonresidue(args: argparse.Namespace) -> int:
 def _cmd_counterexample(args: argparse.Namespace) -> int:
     m = math.floor(args.x_max)
     _capacity(m, args)
-    records = counterexample_search(args.x_max, args.flip_budget, args.threshold)
-    rows = []
-    for record in records:
-        row = record.to_json()
-        row["ratio"] = abs(record.log_mean_at_N) / abs(record.mean_at_N)
-        rows.append(row)
-    _emit(
-        rows,
-        ["flipped_primes", "N", "mean_at_N", "log_mean_at_N", "ratio"],
-        args,
-    )
-    print(f"counterexample: {len(rows)} hits", file=sys.stderr)
+    hits = counterexample_search(args.x_max, args.flip_budget, args.threshold)
+    _write(_hit_chunks(hits, args.format), args)
+    print(f"counterexample: {len(hits)} hits", file=sys.stderr)
     return 0
 
 
@@ -532,8 +574,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             if not 0 < theta <= 1:
                 parser.error("each theta must lie in (0, 1]")
     elif cmd == "means":
-        if args.x < 1:
-            parser.error("x must be at least 1")
+        if args.x < 2:
+            parser.error("x must be at least 2")
     elif cmd == "lemma-b":
         if args.x < 2:
             parser.error("x must be at least 2")

@@ -13,7 +13,8 @@ and short-sum regime scans.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -25,6 +26,7 @@ from .arith import (
     is_prime,
     kronecker,
     liouville,
+    sieve_primes,
     smallest_prime_above,
 )
 from .characters import (
@@ -39,6 +41,7 @@ from .sums import (
     CompletelyMultiplicativeFunction,
     MeansReport,
     _conv_mean_of,
+    _PrimeValues,
     _log_mean_of,
     _mean_of,
     character_log_sum,
@@ -51,6 +54,7 @@ from .sums import (
 
 __all__ = [
     "BurgessPoint",
+    "CounterexampleHits",
     "CounterexampleRecord",
     "DeltaEstimate",
     "LemmaBgAudit",
@@ -322,16 +326,23 @@ def estimate_delta(c: float, x: float, trials: int, seed: int) -> DeltaEstimate:
     m = math.floor(x)
     table = build_spf(max(m, 2))
     rng = np.random.default_rng(seed)
-    cmf = CompletelyMultiplicativeFunction
+    # Every candidate shares one primes array, as ones/liouville/random
+    # would build it, with the same values and the same rng draws.
+    primes = sieve_primes(m)
+
+    def on_primes(values: np.ndarray) -> CompletelyMultiplicativeFunction:
+        return CompletelyMultiplicativeFunction(_PrimeValues(primes, values, m), m)
+
+    size = len(primes)
     candidates: list[tuple[str, CompletelyMultiplicativeFunction]] = [
-        ("ones", cmf.ones(m)),
-        ("all_primes_flipped", cmf.liouville(m)),
+        ("ones", on_primes(np.ones(size))),
+        ("all_primes_flipped", on_primes(np.full(size, -1.0))),
     ]
     for p in (2, 3, 5, 7):
         if p <= m:
-            candidates.append((f"ones_flipped_at_{p}", cmf.ones(m).flip([p])))
+            candidates.append((f"ones_flipped_at_{p}", on_primes(np.ones(size)).flip([p])))
     for i in range(trials):
-        candidates.append((f"random_{i}", cmf.random(m, rng)))
+        candidates.append((f"random_{i}", on_primes(rng.uniform(-1.0, 1.0, size=size))))
     best: tuple[float, str] | None = None
     qualifying = 0
     for label, f in candidates:
@@ -364,18 +375,82 @@ class CounterexampleRecord:
         }
 
 
+class CounterexampleHits(Sequence[CounterexampleRecord]):
+    """Read-only sequence of search hits, stored as columns, one row per hit.
+
+    Row i is the hit on subsets[subset[i]] at N[i]; ratio[i] is
+    |log_mean_at_N[i]| / |mean_at_N[i]|. Indexing and iteration build
+    CounterexampleRecords on demand; a slice is another CounterexampleHits
+    over views of the columns. Equality is elementwise against any sequence
+    of records, so `hits == []` tests for no hits.
+    """
+
+    def __init__(
+        self,
+        subsets: Sequence[tuple[int, ...]],
+        subset: np.ndarray,
+        N: np.ndarray,
+        mean_at_N: np.ndarray,
+        log_mean_at_N: np.ndarray,
+        ratio: np.ndarray,
+    ):
+        self.subsets = tuple(subsets)
+        self.subset = subset
+        self.N = N
+        self.mean_at_N = mean_at_N
+        self.log_mean_at_N = log_mean_at_N
+        self.ratio = ratio
+        for column in (subset, N, mean_at_N, log_mean_at_N, ratio):
+            column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.N)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return CounterexampleHits(
+                self.subsets,
+                self.subset[i],
+                self.N[i],
+                self.mean_at_N[i],
+                self.log_mean_at_N[i],
+                self.ratio[i],
+            )
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError("hit index out of range")
+        return CounterexampleRecord(
+            flipped_primes=self.subsets[self.subset[i]],
+            N=int(self.N[i]),
+            mean_at_N=float(self.mean_at_N[i]),
+            log_mean_at_N=float(self.log_mean_at_N[i]),
+        )
+
+    def __iter__(self) -> Iterator[CounterexampleRecord]:
+        columns = (self.subset, self.N, self.mean_at_N, self.log_mean_at_N)
+        for s, n, m, lm in zip(*(c.tolist() for c in columns)):
+            yield CounterexampleRecord(self.subsets[s], n, m, lm)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 def counterexample_search(
     x_max: float,
     flip_budget: int,
     threshold: float,
     table: SpfTable | None = None,
-) -> list[CounterexampleRecord]:
+) -> CounterexampleHits:
     """Scan sign-flip perturbations of the Liouville function for inversions.
 
     Every subset of the small-prime pool with at most flip_budget members is
     applied to lambda (the empty subset included), and every N <= x_max with
     mean nonzero, |log-mean| < threshold * |mean|, and |log-mean| < |mean| is
-    recorded. Hits come back ordered by the ratio |log-mean| / |mean|.
+    recorded. Hits come back ordered by the key (ratio, N, flipped primes),
+    where ratio is |log-mean| / |mean| and the flipped primes compare as
+    tuples.
     """
     if x_max < 100:
         raise ValueError("x_max must be at least 100")
@@ -390,35 +465,48 @@ def counterexample_search(
     ns = np.arange(1, m + 1, dtype=np.float64)
     logs = np.log(ns[1:])
     pool = [p for p in _FLIP_POOL if p <= m]
-    hits: list[tuple[tuple[float, int, tuple[int, ...]], CounterexampleRecord]] = []
-    for k in range(min(flip_budget, len(pool)) + 1):
-        for subset in combinations(pool, k):
-            v = lam.astype(np.int64)
-            for p in subset:
-                power = p
-                while power <= m:
-                    v[power - 1 :: power] *= -1
-                    power *= p
-            cs = np.cumsum(v)
-            running = np.cumsum(v / ns)
-            means_at = cs[1:] / ns[1:]
-            log_means_at = running[1:] / logs
-            hit = (
-                (cs[1:] != 0)
-                & (np.abs(log_means_at) < threshold * np.abs(means_at))
-                & (np.abs(log_means_at) < np.abs(means_at))
-            )
-            for idx in np.flatnonzero(hit):
-                rec = CounterexampleRecord(
-                    flipped_primes=subset,
-                    N=int(idx) + 2,
-                    mean_at_N=float(means_at[idx]),
-                    log_mean_at_N=float(log_means_at[idx]),
-                )
-                ratio = abs(rec.log_mean_at_N) / abs(rec.mean_at_N)
-                hits.append(((ratio, rec.N, subset), rec))
-    hits.sort(key=lambda pair: pair[0])
-    return [rec for _, rec in hits]
+    # In tuple order, so a subset's position is its rank in the sort key.
+    subsets = sorted(
+        subset
+        for k in range(min(flip_budget, len(pool)) + 1)
+        for subset in combinations(pool, k)
+    )
+    ids, big_ns, means, log_means = [], [], [], []
+    for s, subset in enumerate(subsets):
+        v = lam.astype(np.int64)
+        for p in subset:
+            power = p
+            while power <= m:
+                v[power - 1 :: power] *= -1
+                power *= p
+        cs = np.cumsum(v)
+        running = np.cumsum(v / ns)
+        means_at = cs[1:] / ns[1:]
+        log_means_at = running[1:] / logs
+        hit = (
+            (cs[1:] != 0)
+            & (np.abs(log_means_at) < threshold * np.abs(means_at))
+            & (np.abs(log_means_at) < np.abs(means_at))
+        )
+        idx = np.flatnonzero(hit)
+        ids.append(np.full(len(idx), s, dtype=np.int64))
+        big_ns.append(idx + 2)
+        means.append(means_at[idx])
+        log_means.append(log_means_at[idx])
+    subset_col = np.concatenate(ids)
+    n_col = np.concatenate(big_ns)
+    mean_col = np.concatenate(means)
+    log_mean_col = np.concatenate(log_means)
+    ratio = np.abs(log_mean_col) / np.abs(mean_col)
+    order = np.lexsort((subset_col, n_col, ratio))
+    return CounterexampleHits(
+        subsets,
+        subset_col[order],
+        n_col[order],
+        mean_col[order],
+        log_mean_col[order],
+        ratio[order],
+    )
 
 
 def least_nonresidue(p: int) -> int:

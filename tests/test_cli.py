@@ -341,6 +341,15 @@ class TestMeansAndLemmaB:
             harmonic / math.log(100), rel=1e-14
         )
 
+    def test_means_rejects_x_below_two(self, capsys):
+        # The log-mean needs x >= 2, so smaller x is a malformed argument.
+        for x in ("1", "1.5", "1.999"):
+            assert main(["means", x]) == 2
+            assert "x must be at least 2" in capsys.readouterr().err
+        assert main(["means", "2"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert row["x"] == 2.0
+
     def test_means_flip_label(self, capsys):
         assert main(["means", "100", "--f", "ones", "--flip", "2", "3"]) == 0
         (row,) = json.loads(capsys.readouterr().out)

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from charscan import experiments, sums
 from charscan.arith import is_prime, sieve_primes
 from charscan.characters import evaluate, legendre_character, product_character
 from charscan.experiments import (
@@ -289,6 +291,31 @@ class TestEstimateDelta:
         assert est.delta_hat == pytest.approx(
             harmonic / math.log(100), rel=1e-14
         )
+
+    def test_sieves_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counting_sieve(limit):
+            calls.append(limit)
+            return sieve_primes(limit)
+
+        monkeypatch.setattr(sums, "sieve_primes", counting_sieve)
+        monkeypatch.setattr(experiments, "sieve_primes", counting_sieve, raising=False)
+        estimate_delta(0.1, 1000.5, 20, seed=3)
+        assert calls == [1000]
+
+    @pytest.mark.parametrize("c,x,trials,seed", [(0.1, 1000, 20, 3), (0.5, 300.5, 7, 11), (0.9, 6, 4, 0)])
+    def test_matches_separately_built_candidates(self, c, x, trials, seed):
+        # The candidates as ones/liouville/random build them, one sieve each.
+        m = math.floor(x)
+        rng = np.random.default_rng(seed)
+        candidates = [("ones", CMF.ones(m)), ("all_primes_flipped", CMF.liouville(m))]
+        candidates += [(f"ones_flipped_at_{p}", CMF.ones(m).flip([p])) for p in (2, 3, 5, 7) if p <= m]
+        candidates += [(f"random_{i}", CMF.random(m, rng)) for i in range(trials)]
+        qualifying = [(log_mean(f, x), label) for label, f in candidates if abs(mean(f, x)) >= c]
+        best = min(qualifying, key=lambda pair: pair[0], default=(None, None))
+        est = estimate_delta(c, x, trials, seed)
+        assert est == type(est)(best[0], best[1], len(qualifying), len(candidates))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
