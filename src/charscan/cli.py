@@ -8,6 +8,12 @@ lock file against concurrent runs; reruns skip cached conductors unless
 emitted as JSON or CSV with fixed column orders; summaries go to stderr.
 For pv-scan, --out names the cache file, so its rows always go to stdout;
 thm-a instead writes its report file and prints the chain audit.
+
+Each subcommand accepts only the flags it reads. All take --out and --limit
+(the largest modulus or x a run may tabulate; beyond it the run exits 3
+before building the table). All but thm-a, which always writes JSON, take
+--format; means and lemma-b take --seed; pv-scan alone takes --workers and
+--force. Any other flag is a parse error, exit 2.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from .arith import SearchExhaustedError, sieve_primes
 from .characters import legendre_character
 from .experiments import (
     CounterexampleHits,
-    _select_ell,
     burgess_scan,
     counterexample_search,
     estimate_delta,
@@ -42,7 +47,6 @@ from .sums import (
     CompletelyMultiplicativeFunction,
     _log_mean_of,
     _mean_of,
-    character_log_sum,
     max_partial_sum,
     pv_ratios,
 )
@@ -263,14 +267,13 @@ def _cmd_pv_scan(args: argparse.Namespace) -> int:
     _capacity(args.pmax, args)
     cache = _cache_path(args)
     with _CacheLock(cache):
-        existing = _load_cache(cache)
-        seen = {(r["conductor"], r["family"]) for r in existing}
+        by_key = {(r["conductor"], r["family"]): r for r in _load_cache(cache)}
         targets = [
             int(p)
             for p in sieve_primes(args.pmax)
             if p >= args.pmin and p % 4 == args.residue_class
         ]
-        todo = [p for p in targets if args.force or (p, "legendre") not in seen]
+        todo = [p for p in targets if args.force or (p, "legendre") not in by_key]
         new_records: list[dict] = []
         if todo:
             def scan_one(p: int) -> dict:
@@ -293,17 +296,13 @@ def _cmd_pv_scan(args: argparse.Namespace) -> int:
                     new_records = list(pool.map(scan_one, todo))
             else:
                 new_records = [scan_one(p) for p in todo]
+            for record in new_records:
+                by_key[(record["conductor"], record["family"])] = record
             if args.force:
-                merged = {(r["conductor"], r["family"]): r for r in existing}
-                for record in new_records:
-                    merged[(record["conductor"], record["family"])] = record
-                _rewrite_cache(cache, [merged[k] for k in sorted(merged)])
+                _rewrite_cache(cache, [by_key[k] for k in sorted(by_key)])
             else:
                 _append_cache(cache, new_records)
 
-    by_key = {(r["conductor"], r["family"]): r for r in existing}
-    for record in new_records:
-        by_key[(record["conductor"], record["family"])] = record
     in_range = [
         by_key[(p, "legendre")] for p in targets if (p, "legendre") in by_key
     ]
@@ -387,20 +386,7 @@ def _cmd_lemma_b(args: argparse.Namespace) -> int:
 
 
 def _cmd_thm_a(args: argparse.Namespace) -> int:
-    xi = legendre_character(args.p)
-    if args.p % 4 != 3:
-        raise ValueError(
-            f"p = {args.p} violates the parity hypothesis p = 3 mod 4; the "
-            "base character must be odd"
-        )
-    # q is known only after ell is chosen; this short pre-pass finds it so the
-    # --limit guard runs before the pipeline tabulates q values.
-    t_p = args.p**args.epsilon
-    delta = character_log_sum(xi, t_p) / math.log(t_p)
-    ell, _ = _select_ell(delta, args.p)
-    q = args.p * ell
-    _capacity(q, args)
-    report = theorem_a_pipeline(args.p, args.epsilon, args.c)
+    report = theorem_a_pipeline(args.p, args.epsilon, args.c, max_modulus=args.limit)
     payload = report.to_json()
     payload["timestamp"] = int(time.time())
     out = Path(args.out) if args.out is not None else Path(f"thm-a-{args.p}.json")
@@ -426,6 +412,7 @@ def _cmd_thm_a(args: argparse.Namespace) -> int:
 
 
 def _cmd_nonresidue(args: argparse.Namespace) -> int:
+    _capacity(args.pmax, args)
     rows = []
     for p in sieve_primes(args.pmax):
         p = int(p)
@@ -455,24 +442,24 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument(
-        "--format", choices=["json", "csv"], default="json", help="output format"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1, help="worker threads for scans"
-    )
-    parser.add_argument(
-        "--limit",
+_FLAGS = {
+    "out": dict(default=None, help="output path (default stdout)"),
+    "limit": dict(
         type=int,
         default=DEFAULT_LIMIT,
         help="largest modulus or x a run may tabulate",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument(
-        "--force", action="store_true", help="recompute cached conductors"
-    )
+    ),
+    "format": dict(choices=["json", "csv"], default="json", help="output format"),
+    "seed": dict(type=int, default=0, help="random seed"),
+    "workers": dict(type=int, default=1, help="worker threads for scans"),
+    "force": dict(action="store_true", help="recompute cached conductors"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Add --out, --limit and the named flags; a flag not added is rejected."""
+    for name in ("out", "limit", *names):
+        parser.add_argument("--" + name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -495,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=3,
         help="keep primes in this class mod 4",
     )
-    _add_common(p)
+    _add_flags(p, "format", "workers", "force")
     p.set_defaults(handler=_cmd_pv_scan)
 
     p = sub.add_parser("burgess-scan", help="exact short sums S(p**theta)")
@@ -506,14 +493,14 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=[0.25, 0.3, 0.4, 0.5, 0.75, 1.0],
     )
-    _add_common(p)
+    _add_flags(p, "format")
     p.set_defaults(handler=_cmd_burgess_scan)
 
     p = sub.add_parser("means", help="mean and log-mean of a chosen function")
     p.add_argument("x", type=float)
     p.add_argument("--f", choices=["ones", "liouville", "random"], default="liouville")
     p.add_argument("--flip", type=int, nargs="*", default=[])
-    _add_common(p)
+    _add_flags(p, "format", "seed")
     p.set_defaults(handler=_cmd_means)
 
     p = sub.add_parser(
@@ -527,19 +514,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-x", type=float, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--c", type=float, default=None)
-    _add_common(p)
+    _add_flags(p, "format", "seed")
     p.set_defaults(handler=_cmd_lemma_b)
 
     p = sub.add_parser("thm-a", help="run and audit the conductor-pasting pipeline")
     p.add_argument("p", type=int)
     p.add_argument("epsilon", type=float)
     p.add_argument("c", type=float)
-    _add_common(p)
+    _add_flags(p)
     p.set_defaults(handler=_cmd_thm_a)
 
     p = sub.add_parser("nonresidue", help="least nonresidue for odd primes <= pmax")
     p.add_argument("pmax", type=int)
-    _add_common(p)
+    _add_flags(p, "format")
     p.set_defaults(handler=_cmd_nonresidue)
 
     p = sub.add_parser(
@@ -548,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-max", type=float, default=10000.0)
     p.add_argument("--flip-budget", type=int, default=2)
     p.add_argument("--threshold", type=float, default=0.5)
-    _add_common(p)
+    _add_flags(p, "format")
     p.set_defaults(handler=_cmd_counterexample)
 
     return parser
@@ -559,14 +546,14 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
 
     Also fills in the lemma-b report defaults that the parser leaves unset.
     """
-    if args.workers < 1:
-        parser.error("--workers must be at least 1")
     if args.limit < 2:
         parser.error("--limit must be at least 2")
     cmd = args.command
     if cmd == "pv-scan":
         if args.pmin < 2 or args.pmax < args.pmin:
             parser.error("need 2 <= pmin <= pmax")
+        if args.workers < 1:
+            parser.error("--workers must be at least 1")
     elif cmd == "burgess-scan":
         if args.p < 3:
             parser.error("p must be at least 3")

@@ -185,7 +185,9 @@ class WitnessReport:
         }
 
 
-def theorem_a_pipeline(p: int, epsilon: float, c: float) -> WitnessReport:
+def theorem_a_pipeline(
+    p: int, epsilon: float, c: float, *, max_modulus: int | None = None
+) -> WitnessReport:
     """Run the conductor-pasting construction at one (p, epsilon, c).
 
     Steps: t_p = p**epsilon; the short mean S(t_p)/t_p is checked against c
@@ -195,6 +197,9 @@ def theorem_a_pipeline(p: int, epsilon: float, c: float) -> WitnessReport:
     the numeric value of each display line with its bounded corrections
     dropped; the first two lines are an exact identity, the rest are
     one-sided bounds and are recorded, not asserted.
+
+    q is known only once ell is chosen. If max_modulus is given and q exceeds
+    it, ValueError is raised before any length-q table is built.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -217,8 +222,10 @@ def theorem_a_pipeline(p: int, epsilon: float, c: float) -> WitnessReport:
     delta = log_mean_xi
     ell, ell_flags = _select_ell(delta, p)
     flags += ell_flags
-    psi = legendre_character(ell)
     q = p * ell
+    if max_modulus is not None and q > max_modulus:
+        raise ValueError(f"modulus q = {p}*{ell} = {q} exceeds capacity {max_modulus}")
+    psi = legendre_character(ell)
 
     gamma = CONSTANTS.euler_gamma
     restricted = restricted_log_sum(xi, t_p, ell)
@@ -334,27 +341,28 @@ def estimate_delta(c: float, x: float, trials: int, seed: int) -> DeltaEstimate:
         return CompletelyMultiplicativeFunction(_PrimeValues(primes, values, m), m)
 
     size = len(primes)
-    candidates: list[tuple[str, CompletelyMultiplicativeFunction]] = [
-        ("ones", on_primes(np.ones(size))),
-        ("all_primes_flipped", on_primes(np.full(size, -1.0))),
-    ]
-    for p in (2, 3, 5, 7):
-        if p <= m:
-            candidates.append((f"ones_flipped_at_{p}", on_primes(np.ones(size)).flip([p])))
-    for i in range(trials):
-        candidates.append((f"random_{i}", on_primes(rng.uniform(-1.0, 1.0, size=size))))
+
+    # Built one at a time, so only the candidate being evaluated is held.
+    def candidates() -> Iterator[tuple[str, CompletelyMultiplicativeFunction]]:
+        yield "ones", on_primes(np.ones(size))
+        yield "all_primes_flipped", on_primes(np.full(size, -1.0))
+        for p in (2, 3, 5, 7):
+            if p <= m:
+                yield f"ones_flipped_at_{p}", on_primes(np.ones(size)).flip([p])
+        for i in range(trials):
+            yield f"random_{i}", on_primes(rng.uniform(-1.0, 1.0, size=size))
+
     best: tuple[float, str] | None = None
     qualifying = 0
-    for label, f in candidates:
+    for count, (label, f) in enumerate(candidates(), 1):
         vals = f.values_upto(x, table)
         if abs(_mean_of(vals, x)) >= c:
             qualifying += 1
             value = _log_mean_of(vals, x)
             if best is None or value < best[0]:
                 best = (value, label)
-    if best is None:
-        return DeltaEstimate(None, None, 0, len(candidates))
-    return DeltaEstimate(best[0], best[1], qualifying, len(candidates))
+    delta_hat, worst_f = best if best is not None else (None, None)
+    return DeltaEstimate(delta_hat, worst_f, qualifying, count)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -9,8 +10,9 @@ import time
 
 import pytest
 
+from charscan import experiments
 from charscan.characters import legendre_character
-from charscan.cli import main
+from charscan.cli import _validate, build_parser, main
 from charscan.sums import max_partial_sum, pv_ratios
 
 EXPECTED_CONDUCTORS = [3, 7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83]
@@ -270,6 +272,26 @@ class TestThmA:
         assert main(["thm-a", "9", "0.5", "0.5", "--out", str(tmp_path / "x")]) == 3
         capsys.readouterr()
 
+    def test_limit_below_q_stops_before_the_audit(self, tmp_path, monkeypatch, capsys):
+        q = experiments.theorem_a_pipeline(19, 0.5, 0.1).q
+
+        def no_audit(xi, psi):
+            raise AssertionError("the length-q audit ran past --limit")
+
+        monkeypatch.setattr(experiments, "verify_lemma_bg", no_audit)
+        out = tmp_path / "report.json"
+        argv = ["thm-a", "19", "0.5", "0.1", "--out", str(out)]
+        assert main(argv + ["--limit", str(q - 1)]) == 3
+        assert "capacity" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_limit_equal_to_q_runs(self, tmp_path, capsys):
+        q = experiments.theorem_a_pipeline(19, 0.5, 0.1).q
+        out = tmp_path / "report.json"
+        assert main(["thm-a", "19", "0.5", "0.1", "--out", str(out), "--limit", str(q)]) == 0
+        assert json.loads(out.read_text())["q"] == q
+        capsys.readouterr()
+
     def test_bad_parameters_rejected_before_dispatch(self, tmp_path, capsys):
         assert main(["thm-a", "3", "1.5", "0.5"]) == 2
         assert main(["thm-a", "3", "0.5", "0.0"]) == 2
@@ -309,6 +331,12 @@ class TestNonresidue:
     def test_bad_pmax(self, capsys):
         assert main(["nonresidue", "2"]) == 2
         capsys.readouterr()
+
+    def test_capacity_guard(self, capsys):
+        assert main(["nonresidue", "100", "--limit", "50"]) == 3
+        captured = capsys.readouterr()
+        assert "capacity" in captured.err
+        assert captured.out == ""
 
 
 class TestBurgessScan:
@@ -466,3 +494,70 @@ class TestParserPlumbing:
         )
         assert proc.returncode == 0
         assert "pv-scan" in proc.stdout
+
+
+# Which optional flags each subcommand reads; every one also takes --out and
+# --limit. The command lines are small enough to run in a test.
+FLAG_MATRIX = {
+    "pv-scan": (["pv-scan", "3", "30"], {"--format", "--workers", "--force"}),
+    "burgess-scan": (["burgess-scan", "19"], {"--format"}),
+    "means": (["means", "100"], {"--format", "--seed"}),
+    "lemma-b": (["lemma-b", "100"], {"--format", "--seed"}),
+    "thm-a": (["thm-a", "19", "0.5", "0.1"], set()),
+    "nonresidue": (["nonresidue", "30"], {"--format"}),
+    "counterexample": (["counterexample", "--x-max", "100"], {"--format"}),
+}
+FLAG_VALUES = {
+    "--out": ["out.txt"],
+    "--limit": ["1000"],
+    "--format": ["csv"],
+    "--seed": ["3"],
+    "--workers": ["2"],
+    "--force": [],
+}
+# The benchmark's command lines, one of each shape it runs (perfbench/workloads.py).
+BENCHMARK_ARGV = [
+    ["pv-scan", "3", "100437", "--out", "cache.jsonl"],
+    ["thm-a", "1615843", "0.3", "0.1", "--out", "report0.json"],
+    ["lemma-b", "100000", "--trials", "200", "--c", "0.1", "--seed", "7"],
+    ["lemma-b", "3000000", "--f", "random", "--seed", "7"],
+    ["counterexample", "--out", "rows.json"],
+]
+
+
+class TestFlagMatrix:
+    def test_parser_has_the_matrix(self):
+        (sub,) = [
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        taken = {
+            command: {o for a in p._actions for o in a.option_strings} & set(FLAG_VALUES)
+            for command, p in sub.choices.items()
+        }
+        assert taken == {
+            command: flags | {"--out", "--limit"}
+            for command, (_, flags) in FLAG_MATRIX.items()
+        }
+        assert sum(map(len, taken.values())) == 24
+
+    @pytest.mark.parametrize("command", sorted(FLAG_MATRIX))
+    @pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+    def test_flag_accepted_only_where_read(self, command, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("CHARSCAN_CACHE", raising=False)
+        base, flags = FLAG_MATRIX[command]
+        code = main(base + [flag, *FLAG_VALUES[flag]])
+        err = capsys.readouterr().err
+        if flag in flags | {"--out", "--limit"}:
+            assert code == 0, err
+        else:
+            assert code == 2
+            assert f"unrecognized arguments: {flag}" in err
+
+    @pytest.mark.parametrize("argv", BENCHMARK_ARGV, ids=lambda argv: argv[0])
+    def test_benchmark_command_lines_parse(self, argv):
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        _validate(parser, args)
+        assert args.command == argv[0]

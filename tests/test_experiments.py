@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,18 @@ class TestTheoremAPipeline:
             with pytest.raises(ValueError):
                 theorem_a_pipeline(3, 0.5, c)
 
+    def test_max_modulus_bounds_q(self, monkeypatch):
+        report = theorem_a_pipeline(19, 0.5, 0.1)
+        assert theorem_a_pipeline(19, 0.5, 0.1, max_modulus=report.q) == report
+
+        def no_audit(xi, psi):
+            raise AssertionError("the length-q audit ran past the modulus bound")
+
+        monkeypatch.setattr(experiments, "verify_lemma_bg", no_audit)
+        bound = report.q - 1
+        with pytest.raises(ValueError, match=f"q = 19\\*{report.ell} = {report.q} exceeds capacity {bound}"):
+            theorem_a_pipeline(19, 0.5, 0.1, max_modulus=bound)
+
     def test_serialized_form(self):
         js = theorem_a_pipeline(3, 0.5, 0.5).to_json()
         assert js["q"] == 21
@@ -316,6 +329,21 @@ class TestEstimateDelta:
         best = min(qualifying, key=lambda pair: pair[0], default=(None, None))
         est = estimate_delta(c, x, trials, seed)
         assert est == type(est)(best[0], best[1], len(qualifying), len(candidates))
+
+    def test_holds_one_candidate_at_a_time(self):
+        # Each candidate holds a float64 value per prime; building every one
+        # before evaluating any would add about that much per trial.
+        x = 10**5
+        per_candidate = 8 * len(sieve_primes(x))
+        peaks = []
+        for trials in (1, 50):
+            tracemalloc.start()
+            try:
+                estimate_delta(0.1, x, trials, seed=7)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 10 * per_candidate
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
