@@ -9,6 +9,7 @@ factors, and values always lie in {-1, 0, 1}.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,10 @@ __all__ = [
     "legendre_character",
     "product_character",
 ]
+
+# Long ranges are walked in blocks of this many values, so the streaming
+# kernels hold O(_BLOCK + largest prime factor) values whatever the modulus.
+_BLOCK = 1 << 20
 
 
 def _parity_of(factors: tuple[int, ...]) -> str:
@@ -86,26 +91,58 @@ def evaluate(chi: QuadraticCharacter, n: int) -> int:
 
 
 def _legendre_value_table(p: int) -> np.ndarray:
-    """(a/p) for 0 <= a < p, built by marking the nonzero squares mod p."""
+    """(a/p) for 0 <= a < p, built by marking the nonzero squares mod p.
+
+    The squares k*k, k <= (p-1)/2, are formed in uint32 while they fit and
+    reduced in place; fancy indexing converts indices to intp, and doing so
+    once before the scatter is faster than letting it happen inside.
+    """
+    half = (p - 1) // 2
+    dtype = np.uint32 if half * half < 2**32 else np.intp
+    squares = np.arange(1, half + 1, dtype=dtype)
+    squares *= squares
+    squares %= p
     tab = np.full(p, -1, dtype=np.int8)
     tab[0] = 0
-    half = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
-    tab[(half * half) % p] = 1
+    tab[squares.astype(np.intp, copy=False)] = 1
     return tab
 
 
-def bulk_values(chi: QuadraticCharacter, limit: int) -> np.ndarray:
-    """chi(n) for 1 <= n <= limit as int8 (index i holds n = i + 1).
+def _value_blocks(chi: QuadraticCharacter, limit: int) -> Iterator[np.ndarray]:
+    """chi(n) for 1 <= n <= limit as consecutive int8 blocks of _BLOCK values.
 
-    One residue table per prime factor, rolled to hold n = 1..p and tiled
-    with period p, combined by pointwise products. The result is identical
-    to calling evaluate at every index, but the two routes share no
-    arithmetic: this one enumerates squares, evaluate runs the reciprocity
+    Each prime factor p gets one periodic table E_p with E_p[a] = (a/p), long
+    enough for any block at any phase: min(_BLOCK + p - 1, limit + 1) values.
+    The block for n = a+1..a+L is then the slice of each E_p at offset
+    (a+1) mod p, a view, and the product of those views; no gather and no
+    roll per block. Working memory is O(_BLOCK + largest factor) whatever
+    limit is. A block from a single factor is a view of its table, so callers
+    must not write into it.
+    """
+    step = min(limit, _BLOCK)
+    tables = []
+    for p in chi.factors:
+        table = _legendre_value_table(p)
+        length = min(step + p - 1, limit + 1)
+        tables.append((p, table if length <= p else np.resize(table, length)))
+    for start in range(1, limit + 1, step):
+        size = min(step, limit + 1 - start)
+        block = None
+        for p, table in tables:
+            offset = start % p
+            piece = table[offset : offset + size]
+            block = piece if block is None else block * piece
+        yield np.ones(size, dtype=np.int8) if block is None else block
+
+
+def bulk_values(chi: QuadraticCharacter, limit: int) -> np.ndarray:
+    """chi(n) for 1 <= n <= limit as a new int8 array (index i holds n = i + 1).
+
+    The concatenated blocks of the streaming kernel _value_blocks. The result
+    is identical to calling evaluate at every index, but the two routes share
+    no arithmetic: this one enumerates squares, evaluate runs the reciprocity
     symbol.
     """
     if limit < 1:
         raise ValueError("limit must be positive")
-    out = np.ones(limit, dtype=np.int8)
-    for p in chi.factors:
-        out *= np.resize(np.roll(_legendre_value_table(p), -1), limit)
-    return out
+    return np.concatenate(list(_value_blocks(chi, limit)))

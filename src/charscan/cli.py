@@ -443,7 +443,6 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 
 
 _FLAGS = {
-    "out": dict(default=None, help="output path (default stdout)"),
     "limit": dict(
         type=int,
         default=DEFAULT_LIMIT,
@@ -456,9 +455,18 @@ _FLAGS = {
 }
 
 
-def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
-    """Add --out, --limit and the named flags; a flag not added is rejected."""
-    for name in ("out", "limit", *names):
+def _add_flags(
+    parser: argparse.ArgumentParser,
+    *names: str,
+    out_help: str = "output path (default stdout)",
+) -> None:
+    """Add --out, --limit and the named flags; a flag not added is rejected.
+
+    out_help says what --out names: the output by default, the cache file
+    for pv-scan and the report file for thm-a.
+    """
+    parser.add_argument("--out", default=None, help=out_help)
+    for name in ("limit", *names):
         parser.add_argument("--" + name, **_FLAGS[name])
 
 
@@ -482,7 +490,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=3,
         help="keep primes in this class mod 4",
     )
-    _add_flags(p, "format", "workers", "force")
+    _add_flags(
+        p,
+        "format",
+        "workers",
+        "force",
+        out_help=f"cache file (default ${CACHE_ENV} or ./{DEFAULT_CACHE}); "
+        "rows go to stdout",
+    )
     p.set_defaults(handler=_cmd_pv_scan)
 
     p = sub.add_parser("burgess-scan", help="exact short sums S(p**theta)")
@@ -521,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p", type=int)
     p.add_argument("epsilon", type=float)
     p.add_argument("c", type=float)
-    _add_flags(p)
+    _add_flags(p, out_help="report file (default thm-a-P.json)")
     p.set_defaults(handler=_cmd_thm_a)
 
     p = sub.add_parser("nonresidue", help="least nonresidue for odd primes <= pmax")

@@ -31,7 +31,7 @@ from .arith import (
 )
 from .characters import (
     QuadraticCharacter,
-    bulk_values,
+    _value_blocks,
     evaluate,
     legendre_character,
     product_character,
@@ -44,6 +44,7 @@ from .sums import (
     _PrimeValues,
     _log_mean_of,
     _mean_of,
+    _walk,
     character_log_sum,
     gs_bound,
     ht_u,
@@ -133,13 +134,22 @@ def verify_lemma_bg(xi: QuadraticCharacter, psi: QuadraticCharacter) -> LemmaBgA
     chi = product_character(xi, psi)  # also validates coprimality
     q = chi.modulus
     ell = psi.modulus
-    profile = max_partial_sum(chi)
-    lhs = profile.max_abs / math.sqrt(q)
-    terms = bulk_values(xi, q).astype(np.float64)
-    terms /= np.arange(1, q + 1, dtype=np.float64)
-    terms[ell - 1 :: ell] = 0.0
-    running = np.cumsum(terms)
-    rhs_main = math.sqrt(ell) / (math.pi * (ell - 1)) * float(np.max(np.abs(running)))
+    lhs = max_partial_sum(chi).max_abs / math.sqrt(q)
+    # The log-sum runs over n = 1..q in the blocks of xi's values. Each block
+    # gets the running sum so far prepended before np.cumsum, so every
+    # addition happens in the same order as one cumsum over all q terms.
+    peak, carry, start = 0.0, 0.0, 1
+    for block in _value_blocks(xi, q):
+        running = np.empty(len(block) + 1)
+        running[0] = carry
+        running[1:] = block
+        running[1:] /= np.arange(start, start + len(block), dtype=np.float64)
+        running[1 + (-start) % ell :: ell] = 0.0  # n = 0 mod ell
+        np.cumsum(running, out=running)
+        carry = float(running[-1])
+        peak = max(peak, float(running.max()), -float(running.min()))
+        start += len(block)
+    rhs_main = math.sqrt(ell) / (math.pi * (ell - 1)) * peak
     return LemmaBgAudit(lhs=lhs, rhs_main=rhs_main, gap=lhs - rhs_main)
 
 
@@ -555,11 +565,11 @@ def burgess_scan(p: int, thetas: Sequence[float]) -> list[BurgessPoint]:
     for theta in thetas:
         if not 0 < theta <= 1:
             raise ValueError("each theta must lie in (0, 1]")
-    cs = np.cumsum(bulk_values(xi, p), dtype=np.int64)
-    points = []
-    for theta in thetas:
-        t = p**theta
-        m = math.floor(t)
-        s = int(cs[m - 1]) if m >= 1 else 0
-        points.append(BurgessPoint(theta=float(theta), t=t, s=s, ratio=abs(s) / t))
-    return points
+    ts = [p**theta for theta in thetas]
+    # S(p) = S(p - 1) = 0, so the walk stops at the largest floor(t) below p.
+    ms = [min(math.floor(t), p - 1) for t in ts]
+    _, _, sums = _walk(xi, max(ms), ms)
+    return [
+        BurgessPoint(theta=float(theta), t=t, s=s, ratio=abs(s) / t)
+        for theta, t, s in zip(thetas, ts, sums)
+    ]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import SpfTable, _expand_multiplicative, build_spf, is_prime, sieve_primes
-from .characters import QuadraticCharacter, bulk_values, evaluate
+from .characters import QuadraticCharacter, _value_blocks, evaluate
 
 __all__ = [
     "CONSTANTS",
@@ -260,30 +260,68 @@ def partial_sum(chi: QuadraticCharacter, t: float) -> int:
     return sum(evaluate(chi, n) for n in range(1, m + 1))
 
 
+def _walk(
+    chi: QuadraticCharacter, limit: int, points: Sequence[int] = ()
+) -> tuple[int, int, list[int]]:
+    """Stream S(n) = chi(1) + ... + chi(n) over 1 <= n <= limit, block by block.
+
+    Returns the peak of |S(n)|, its first maximizer, and S(m) for each m in
+    points (0 <= m <= limit, with S(0) = 0). Each block's running sum is
+    int32 while limit < 2^31 (|S(n)| <= n), offset by the exact carry of the
+    blocks before it; a block's maximizer replaces the current one only when
+    strictly larger, so ties keep the smallest n.
+    """
+    dtype = np.int32 if limit < 2**31 else np.int64
+    wanted = np.asarray(points, dtype=np.int64)
+    found = np.zeros(len(wanted), dtype=np.int64)
+    peak, first, carry, start = -1, 0, 0, 1
+    for block in _value_blocks(chi, limit):
+        running = np.cumsum(block, dtype=dtype)
+        if carry:
+            running += carry
+        end = start + len(running)
+        if len(wanted):
+            inside = (wanted >= start) & (wanted < end)
+            found[inside] = running[wanted[inside] - start]
+        carry = int(running[-1])
+        np.abs(running, out=running)
+        i = int(np.argmax(running))  # argmax returns the first maximizer
+        if running[i] > peak:
+            peak, first = int(running[i]), start + i
+        start = end
+    return peak, first, found.tolist()
+
+
 def max_partial_sum(
     chi: QuadraticCharacter, sample_at: Sequence[float] | None = None
 ) -> SumProfile:
-    """Peak of |S(t)| over t = 1..modulus, from one cumulative sum of values.
+    """Peak of |S(t)| over t = 1..modulus, from a scan of t <= (q-1)/2 only.
 
-    Ties go to the smallest t. Optional sample_at records (t, S(t)) pairs
-    read from the same cumulative sum.
+    For a real nonprincipal chi mod q the sum over a period vanishes and
+    chi(q-n) = chi(-1) chi(n), so S(q-1-t) = -chi(-1) S(t): |S| is symmetric
+    about (q-1)/2 and the peak and its first maximizer lie in t <= (q-1)/2.
+    Ties go to the smallest t. Optional sample_at records (t, S(t)) pairs;
+    t is reduced mod q, and S beyond (q-1)/2 is read through the reflection.
     """
     q = chi.modulus
-    cs = np.cumsum(bulk_values(chi, q), dtype=np.int64)
-    magnitudes = np.abs(cs)
-    best = int(np.argmax(magnitudes))  # argmax returns the first maximizer
+    half = max((q - 1) // 2, 1)  # q = 1 is the trivial character: one value
+    reflect = 1 if chi.parity == "odd" else -1  # -chi(-1)
+    ts, points, signs = [], [], []
+    for t in sample_at or ():
+        m = math.floor(t)
+        if m >= q:
+            m %= q
+        sign = 1
+        if m > half:
+            m, sign = q - 1 - m, reflect
+        ts.append(float(t))
+        points.append(max(m, 0))
+        signs.append(sign)
+    peak, first, found = _walk(chi, half, points)
     samples = None
     if sample_at is not None:
-        collected = []
-        for t in sample_at:
-            m = math.floor(t)
-            if m >= q:
-                m %= q
-            collected.append((float(t), int(cs[m - 1]) if m >= 1 else 0))
-        samples = tuple(collected)
-    return SumProfile(
-        modulus=q, max_abs=int(magnitudes[best]), argmax=best + 1, samples=samples
-    )
+        samples = tuple((t, sign * s) for t, sign, s in zip(ts, signs, found))
+    return SumProfile(modulus=q, max_abs=peak, argmax=first, samples=samples)
 
 
 def _exact_sum(a: np.ndarray) -> float:

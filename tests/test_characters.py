@@ -13,6 +13,7 @@ from charscan.characters import (
     legendre_character,
     product_character,
 )
+from charscan.sums import max_partial_sum
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -45,6 +46,28 @@ def class_number(d):
             if ac % a == 0:
                 h += 1 if a == b or a * a == ac else 2
             a += 1
+        b += 2
+    return h
+
+
+def class_numbers(bound):
+    """h(-d) at index d for all d < bound, d = 3 (mod 4), in one count.
+
+    The same reduced forms as class_number, enumerated as triples: for each
+    odd b > 0, every b <= a <= c with d = 4ac - b*b < bound, weighted 1 when
+    a = b or a = c and 2 otherwise, then tallied by d.
+    """
+    h = np.zeros(bound, dtype=np.int64)
+    b = 1
+    while 3 * b * b < bound:
+        top = bound - 1 + b * b  # 4ac <= top
+        a = np.arange(b, math.isqrt(top // 4) + 1, dtype=np.int64)
+        counts = top // (4 * a) - a + 1  # c = a .. top // (4a)
+        a_rep = np.repeat(a, counts)
+        c = a_rep + np.arange(len(a_rep)) - np.repeat(np.cumsum(counts) - counts, counts)
+        weights = np.where((a_rep == b) | (a_rep == c), 1, 2)
+        d = 4 * a_rep * c - b * b  # at most bound - 1
+        h += np.bincount(d, weights=weights, minlength=bound).astype(np.int64)
         b += 2
     return h
 
@@ -176,12 +199,25 @@ class TestBulkValues:
 
     def test_half_period_sum_is_class_number_multiple(self):
         # Dirichlet: for p = 3 (mod 4), p > 3, the sum of (n/p) over
-        # n <= (p-1)/2 is (2 - (2/p)) h(-p).
-        primes = [int(p) for p in sieve_primes(20_000) if p > 3 and p % 4 == 3]
-        assert len(primes) == 1135
+        # n <= (p-1)/2 is (2 - (2/p)) h(-p). The half-period scan of
+        # max_partial_sum ends exactly at (p-1)/2, so its last running sum
+        # is read as the sample there.
+        primes = [int(p) for p in sieve_primes(100_000) if p > 3 and p % 4 == 3]
+        assert len(primes) == 4807
+        h = class_numbers(100_000)
         for p in primes:
-            half = int(bulk_values(legendre_character(p), (p - 1) // 2).sum())
-            assert half == (2 - kronecker(2, p)) * class_number(-p), p
+            half = (p - 1) // 2
+            expected = (2 - kronecker(2, p)) * int(h[p])
+            ((_, last),) = max_partial_sum(legendre_character(p), [half]).samples
+            assert last == expected, p
+            if p < 20_000:
+                assert int(bulk_values(legendre_character(p), half).sum()) == expected
+
+    def test_class_number_counts_agree(self):
+        h = class_numbers(3_000)
+        for d in range(3, 3_000, 4):
+            assert h[d] == class_number(-d), d
+        assert [int(h[d]) for d in (3, 7, 11, 23, 47, 71, 199)] == [1, 1, 1, 3, 5, 7, 9]
 
     def test_matches_pointwise_evaluate(self):
         characters = [legendre_character(p) for p in (3, 5, 13, 31)]

@@ -561,3 +561,22 @@ class TestFlagMatrix:
         args = parser.parse_args(argv)
         _validate(parser, args)
         assert args.command == argv[0]
+
+    @pytest.mark.parametrize(
+        "command, says",
+        [
+            ("pv-scan", "cache file (default $CHARSCAN_CACHE or ./charscan-cache.jsonl)"),
+            ("thm-a", "report file (default thm-a-P.json)"),
+            ("burgess-scan", "output path (default stdout)"),
+            ("means", "output path (default stdout)"),
+            ("lemma-b", "output path (default stdout)"),
+            ("nonresidue", "output path (default stdout)"),
+            ("counterexample", "output path (default stdout)"),
+        ],
+    )
+    def test_out_help_names_what_out_writes(self, command, says, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "200")  # argparse wraps at hyphens
+        assert main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        (line,) = [part for part in text.split(" --") if part.startswith("out OUT")]
+        assert line.startswith("out OUT " + says), line

@@ -462,6 +462,18 @@ class TestBurgessScan:
         (point,) = burgess_scan(2003, [0.5])  # p needs no factor table
         assert point.s == partial_sum(xi(2003), 2003**0.5)
 
+    def test_matches_partial_sum_on_theta_grid(self):
+        # The walk stops at the largest floor(p**theta), capped at p - 1;
+        # theta = 1 reads S(p - 1) = S(p) = 0.
+        thetas = [k / 20 for k in range(1, 21)] + [0.999, 1.0]
+        for p in (3, 7, 19, 103, 1019, 2003):
+            points = burgess_scan(p, thetas)
+            for theta, pt in zip(thetas, points):
+                assert pt.t == p**theta
+                assert pt.s == partial_sum(xi(p), p**theta), (p, theta)
+                assert pt.ratio == abs(pt.s) / pt.t
+            assert points[-1].s == 0
+
     def test_serialized_form(self):
         (point,) = burgess_scan(19, [0.5])
         assert set(point.to_json()) == {"theta", "t", "s", "ratio"}
