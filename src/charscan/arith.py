@@ -10,6 +10,7 @@ behind every character evaluation.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # One uint32 entry per integer; larger tables are out of scope.
 _MAX_TABLE_LIMIT = 2**32 - 1
+
+# A block of the multiplicative expansion holds at most this many integers,
+# so its temporaries stay small whatever the limit.
+_PLAN_BLOCK = 1 << 16
 
 
 class SearchExhaustedError(RuntimeError):
@@ -147,29 +152,69 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
+def _expansion_plan(
+    table: SpfTable, limit: int, primes: np.ndarray | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Index arithmetic of the smallest-factor expansion over 1 <= n <= limit.
+
+    Yields one (index, cofactor) pair of uint32 arrays per block lo <= n < hi
+    of n >= 2, in order, where hi <= 2 lo and hi - lo <= _PLAN_BLOCK. index
+    locates f(spf(n)) in the prime-value array: with primes =
+    sieve_primes(limit) it is the position of spf(n) among them, for values
+    aligned with primes; without, it is spf(n) itself, for values indexed by
+    n. cofactor is n // spf(n) - 1, the position of the cofactor in the
+    output. The blocks are computed lazily, so one expansion never holds them
+    all; tuple() keeps a plan for reuse across functions.
+    """
+    table.require(limit)
+    spf = table.spf
+    if primes is not None:
+        rank = np.empty(limit + 1, dtype=np.uint32)  # read only at primes
+        rank[primes] = np.arange(len(primes), dtype=np.uint32)
+    lo = 2
+    while lo <= limit:
+        hi = min(2 * lo, lo + _PLAN_BLOCK, limit + 1)
+        s = spf[lo:hi]
+        cofactor = np.arange(lo, hi, dtype=np.uint32)
+        np.floor_divide(cofactor, s, out=cofactor)
+        cofactor -= 1
+        yield (s if primes is None else rank[s]), cofactor
+        lo = hi
+
+
+def _apply_plan(
+    plan: Iterable[tuple[np.ndarray, np.ndarray]],
+    prime_vals: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Fill out[i] = f(i + 1) from f's prime values by following plan.
+
+    Applies f(n) = f(spf(n)) * f(n // spf(n)) block by block. A block's
+    cofactors are at most n / 2 < lo, so they lie in earlier blocks and are
+    already final: each block is one gather from prime_vals and one in-place
+    product, the same two operands as the direct recurrence.
+    """
+    out[0] = 1
+    lo = 1
+    for index, cofactor in plan:
+        block = out[lo : lo + len(index)]
+        np.take(prime_vals, index, out=block)
+        block *= out[cofactor]
+        lo += len(index)
+    return out
+
+
 def _expand_multiplicative(
     prime_vals: np.ndarray, table: SpfTable, limit: int
 ) -> np.ndarray:
     """Extend values on primes to all 1 <= n <= limit by smallest-factor peeling.
 
-    prime_vals is indexed by n, with prime_vals[p] = f(p) at primes and
-    prime_vals[1] = 1; composite entries are ignored. Returns v with
-    v[n] = f(n) for n >= 1 and v[0] = 0. The recurrence
-    v[n] = f(spf[n]) * v[n // spf[n]] is applied to the doubling blocks
-    [2^k, 2^(k+1)) in order: every cofactor n // spf[n] <= n / 2 lies in an
-    earlier block and is already final, so one pass settles everything.
+    prime_vals is indexed by n, with prime_vals[p] = f(p) at primes; every
+    other entry is ignored. Returns v with v[n] = f(n) for n >= 1 and v[0] = 0.
     """
-    table.require(limit)
-    spf = table.spf
     v = np.empty(limit + 1, dtype=prime_vals.dtype)
     v[0] = 0
-    v[1] = 1
-    lo = 2
-    while lo <= limit:
-        hi = min(2 * lo, limit + 1)
-        s = spf[lo:hi]
-        v[lo:hi] = prime_vals[s] * v[np.arange(lo, hi, dtype=s.dtype) // s]
-        lo = hi
+    _apply_plan(_expansion_plan(table, limit), prime_vals, v[1:])
     return v
 
 

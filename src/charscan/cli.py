@@ -564,6 +564,12 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     if args.limit < 2:
         parser.error("--limit must be at least 2")
     cmd = args.command
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            # thm-a's floats and the x of means and lemma-b are positionals
+            positional = cmd == "thm-a" or name == "x"
+            label = name if positional else "--" + name.replace("_", "-")
+            parser.error(f"{label} must be a finite number")
     if cmd == "pv-scan":
         if args.pmin < 2 or args.pmax < args.pmin:
             parser.error("need 2 <= pmin <= pmax")
@@ -634,3 +640,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -22,6 +22,8 @@ import numpy as np
 
 from .arith import (
     SpfTable,
+    _apply_plan,
+    _expansion_plan,
     build_spf,
     is_prime,
     kronecker,
@@ -41,9 +43,9 @@ from .sums import (
     CompletelyMultiplicativeFunction,
     MeansReport,
     _conv_mean_of,
-    _PrimeValues,
     _log_mean_of,
     _mean_of,
+    _mean_reaches,
     _walk,
     character_log_sum,
     gs_bound,
@@ -333,6 +335,11 @@ def estimate_delta(c: float, x: float, trials: int, seed: int) -> DeltaEstimate:
     |mean(f, x)| >= c qualify; the smallest log-mean among them is returned.
     Deterministic in seed. If nothing qualifies, the estimate fields are None
     and qualifying is 0.
+
+    Every candidate is expanded by one shared plan into one buffer. The
+    threshold is decided from the float sum with a rigorous error margin;
+    only a mean within the margin of c, and only a qualifying candidate's
+    log-mean, is summed exactly.
     """
     if not 0 < c <= 1:
         raise ValueError("c must lie in (0, 1]")
@@ -341,32 +348,31 @@ def estimate_delta(c: float, x: float, trials: int, seed: int) -> DeltaEstimate:
     if trials < 1:
         raise ValueError("trials must be positive")
     m = math.floor(x)
-    table = build_spf(max(m, 2))
     rng = np.random.default_rng(seed)
-    # Every candidate shares one primes array, as ones/liouville/random
-    # would build it, with the same values and the same rng draws.
+    # One plan and one output buffer serve every candidate; each candidate
+    # is its array of values on primes, aligned with primes.
     primes = sieve_primes(m)
-
-    def on_primes(values: np.ndarray) -> CompletelyMultiplicativeFunction:
-        return CompletelyMultiplicativeFunction(_PrimeValues(primes, values, m), m)
-
+    plan = tuple(_expansion_plan(build_spf(m), m, primes))
+    vals = np.empty(m)
     size = len(primes)
 
     # Built one at a time, so only the candidate being evaluated is held.
-    def candidates() -> Iterator[tuple[str, CompletelyMultiplicativeFunction]]:
-        yield "ones", on_primes(np.ones(size))
-        yield "all_primes_flipped", on_primes(np.full(size, -1.0))
-        for p in (2, 3, 5, 7):
+    def candidates() -> Iterator[tuple[str, np.ndarray]]:
+        yield "ones", np.ones(size)
+        yield "all_primes_flipped", np.full(size, -1.0)
+        for i, p in enumerate((2, 3, 5, 7)):  # primes[i] == p
             if p <= m:
-                yield f"ones_flipped_at_{p}", on_primes(np.ones(size)).flip([p])
+                flipped = np.ones(size)
+                flipped[i] = -1.0
+                yield f"ones_flipped_at_{p}", flipped
         for i in range(trials):
-            yield f"random_{i}", on_primes(rng.uniform(-1.0, 1.0, size=size))
+            yield f"random_{i}", rng.uniform(-1.0, 1.0, size=size)
 
     best: tuple[float, str] | None = None
     qualifying = 0
-    for count, (label, f) in enumerate(candidates(), 1):
-        vals = f.values_upto(x, table)
-        if abs(_mean_of(vals, x)) >= c:
+    for count, (label, values) in enumerate(candidates(), 1):
+        _apply_plan(plan, values, vals)
+        if _mean_reaches(vals, x, c):
             qualifying += 1
             value = _log_mean_of(vals, x)
             if best is None or value < best[0]:

@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import SpfTable, _expand_multiplicative, build_spf, is_prime, sieve_primes
+from .arith import (
+    SpfTable,
+    _apply_plan,
+    _expansion_plan,
+    build_spf,
+    is_prime,
+    sieve_primes,
+)
 from .characters import QuadraticCharacter, _value_blocks, evaluate
 
 __all__ = [
@@ -52,6 +59,8 @@ _SUM_BLOCK = 1 << 16
 # this offset they index bincount bins from 1, in units of 2^-1127.
 _EXP_OFFSET = 1074
 _SUM_SCALE = 1 << (_EXP_OFFSET + 53)
+# Unit roundoff of float64, for the error bound of _mean_reaches.
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -193,9 +202,8 @@ class CompletelyMultiplicativeFunction:
         if table is None:
             table = build_spf(m)
         k = np.searchsorted(self.primes, m, side="right")
-        pv = np.ones(m + 1)
-        pv[self.primes[:k]] = self.values[:k]
-        return _expand_multiplicative(pv, table, m)[1:]
+        plan = _expansion_plan(table, m, self.primes[:k])
+        return _apply_plan(plan, self.values[:k], np.empty(m))
 
 
 @dataclass(frozen=True)
@@ -353,6 +361,34 @@ def _exact_sum(a: np.ndarray) -> float:
 
 def _mean_of(vals: np.ndarray, x: float) -> float:
     return _exact_sum(vals) / x
+
+
+def _mean_reaches(vals: np.ndarray, x: float, c: float) -> bool:
+    """abs(_mean_of(vals, x)) >= c, summed exactly only when floats cannot tell.
+
+    For c > 0 and x >= 1. The float sum s of n terms, in any order of its
+    n - 1 additions (so np.sum's pairwise order too), lies within
+    gamma_{n-1} sum|a_i| of the exact sum S, where gamma_k = k u / (1 - k u)
+    and u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 4.2). The margin doubles that bound, which covers the rounding
+    of the computed sum|a_i|; adds 2^-48 (|s| + c x), which covers the two
+    roundings of fl(fl(S)/x) and those of this test; and adds 2^-1000 x for
+    underflow. Beyond the margin the sign of |s| - c x is the answer; within
+    it, the exact sum is.
+    """
+    s = abs(float(np.sum(vals)))
+    cx = c * x
+    k = max(len(vals) - 1, 0) * _UNIT_ROUNDOFF
+    margin = (
+        2.0 * k / (1.0 - k) * float(np.sum(np.abs(vals)))
+        + 2.0**-48 * (s + cx)
+        + 2.0**-1000 * x
+    )
+    if s - cx > margin:
+        return True
+    if cx - s > margin:
+        return False
+    return abs(_exact_sum(vals) / x) >= c
 
 
 def _log_mean_of(vals: np.ndarray, x: float) -> float:

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charscan import arith
 from charscan.arith import (
     SearchExhaustedError,
+    _apply_plan,
     _expand_multiplicative,
+    _expansion_plan,
     build_spf,
     is_prime,
     kronecker,
@@ -214,6 +217,62 @@ class TestExpandMultiplicative:
     def test_undersized_table_rejected(self):
         with pytest.raises(ValueError):
             _expand_multiplicative(np.ones(101), build_spf(50), 100)
+        with pytest.raises(ValueError):
+            tuple(_expansion_plan(build_spf(50), 100, sieve_primes(100)))
+
+    @pytest.mark.parametrize("limit", [2, 3, 1000, 4097, 10**5])
+    def test_one_plan_refills_one_buffer(self, limit, wide_table):
+        # One kept plan fills one buffer for several functions in turn; a
+        # stale entry from an earlier function would show as a mismatch.
+        primes = sieve_primes(limit)
+        plan = tuple(_expansion_plan(wide_table, limit, primes))
+        by_n = tuple(_expansion_plan(wide_table, limit))
+        rng = np.random.default_rng(limit)
+        out = np.full(limit, np.nan)
+        short_sets = [
+            rng.uniform(-1.0, 1.0, len(primes)),
+            np.ones(len(primes)),
+            np.zeros(len(primes)),
+            -rng.uniform(0.0, 1.0, len(primes)),
+            rng.uniform(-1.0, 1.0, len(primes)),
+        ]
+        for short in short_sets:
+            prime_vals = np.zeros(limit + 1)
+            prime_vals[1] = 1.0
+            prime_vals[primes] = short
+            want = rounds_expand(prime_vals, wide_table, limit)[1:]
+            assert _apply_plan(plan, short, out) is out
+            assert out.tobytes() == want.tobytes()
+            _apply_plan(by_n, prime_vals, out)
+            assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64, 1000])
+    def test_block_size_does_not_change_bits(self, block, monkeypatch):
+        monkeypatch.setattr(arith, "_PLAN_BLOCK", block)
+        limit = 5000
+        table = build_spf(limit)
+        rng = np.random.default_rng(block)
+        prime_vals = rng.uniform(-1.0, 1.0, size=limit + 1)
+        prime_vals[1] = 1.0
+        got = _expand_multiplicative(prime_vals, table, limit)
+        assert got.tobytes() == rounds_expand(prime_vals, table, limit).tobytes()
+        blocks = list(_expansion_plan(table, limit))
+        assert max(len(index) for index, _ in blocks) <= block
+        assert sum(len(index) for index, _ in blocks) == limit - 1
+
+    def test_plan_positions(self):
+        # index locates spf(n) among the primes; cofactor is n // spf(n) - 1.
+        limit = 300
+        table = build_spf(limit)
+        primes = sieve_primes(limit).tolist()
+        index = np.concatenate([i for i, _ in _expansion_plan(table, limit, np.array(primes))])
+        by_n = np.concatenate([i for i, _ in _expansion_plan(table, limit)])
+        cofactor = np.concatenate([c for _, c in _expansion_plan(table, limit)])
+        for n in range(2, limit + 1):
+            p = trial_spf(n)
+            assert primes[index[n - 2]] == p
+            assert by_n[n - 2] == p
+            assert cofactor[n - 2] == n // p - 1
 
 
 class TestSmallestPrimeAbove:

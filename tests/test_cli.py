@@ -6,10 +6,13 @@ import math
 import os
 import shutil
 import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import charscan
 from charscan import experiments
 from charscan.characters import legendre_character
 from charscan.cli import _validate, build_parser, main
@@ -485,6 +488,48 @@ class TestParserPlumbing:
         assert main(["pv-scan", "3", "10", "--workers", "0"]) == 2
         assert main(["pv-scan", "3", "10", "--limit", "1"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv,label",
+        [
+            (["means", "inf"], "x"),
+            (["means", "nan"], "x"),
+            (["lemma-b", "inf", "--trials", "3", "--c", "0.1"], "x"),
+            (["lemma-b", "nan"], "x"),
+            (["lemma-b", "1000", "--min-x", "nan"], "--min-x"),
+            (["lemma-b", "1000", "--trials", "3", "--c", "nan"], "--c"),
+            (["counterexample", "--x-max", "200", "--threshold", "nan"], "--threshold"),
+            (["counterexample", "--x-max", "inf"], "--x-max"),
+            (["thm-a", "19", "nan", "0.1"], "epsilon"),
+            (["thm-a", "19", "0.5", "inf"], "c"),
+        ],
+    )
+    def test_non_finite_arguments_rejected(self, argv, label, capsys):
+        assert main(argv) == 2
+        assert f"{label} must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("module", ["charscan", "charscan.cli"])
+    def test_module_form_runs_main(self, module, capsys):
+        # `python -m charscan` stands in for the console script where that
+        # cannot be installed.
+        src = str(Path(charscan.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["means", "1000", "--f", "random", "--seed", "4"]
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert main(argv) == 0
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == capsys.readouterr().out
+        assert proc.stdout
+        bad = subprocess.run(
+            [sys.executable, "-m", module, "means", "nan"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert bad.returncode == 2
+        assert "finite" in bad.stderr
 
     def test_console_script_is_installed(self):
         exe = shutil.which("charscan")

@@ -7,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from charscan import experiments, sums
-from charscan.arith import is_prime, sieve_primes
+from charscan.arith import build_spf, is_prime, sieve_primes
 from charscan.characters import evaluate, legendre_character, product_character
 from charscan.experiments import (
+    DeltaEstimate,
     FLAG_BELOW_MIN_X,
     FLAG_ELL_BUMPED,
     FLAG_LOG_MEAN_NOT_POSITIVE,
@@ -26,6 +27,10 @@ from charscan.experiments import (
 )
 from charscan.sums import (
     CompletelyMultiplicativeFunction,
+    _exact_sum as sums_exact_sum,
+    _log_mean_of,
+    _mean_of,
+    _PrimeValues,
     character_log_sum,
     conv_mean,
     gs_bound,
@@ -270,6 +275,76 @@ class TestLemmaBReport:
             "x", "mean", "log_mean", "u", "conv_mean", "gs_bound",
             "ht_envelope", "ht_constant", "flags",
         }
+
+
+def reference_candidates(x, trials, seed):
+    """The candidates of estimate_delta, one function object each, in order."""
+    m = math.floor(x)
+    rng = np.random.default_rng(seed)
+    primes = sieve_primes(m)
+
+    def on_primes(values):
+        return CMF(_PrimeValues(primes, values, m), m)
+
+    candidates = [("ones", on_primes(np.ones(len(primes))))]
+    candidates.append(("all_primes_flipped", on_primes(np.full(len(primes), -1.0))))
+    for p in (2, 3, 5, 7):
+        if p <= m:
+            candidates.append((f"ones_flipped_at_{p}", on_primes(np.ones(len(primes))).flip([p])))
+    for i in range(trials):
+        candidates.append((f"random_{i}", on_primes(rng.uniform(-1.0, 1.0, size=len(primes)))))
+    return candidates
+
+
+def reference_estimate(c, x, trials, seed):
+    """estimate_delta by the per-candidate route: each candidate expanded by
+    values_upto, its mean and log-mean summed exactly."""
+    table = build_spf(max(math.floor(x), 2))
+    candidates = reference_candidates(x, trials, seed)
+    best, qualifying = None, 0
+    for label, f in candidates:
+        vals = f.values_upto(x, table)
+        if abs(_mean_of(vals, x)) >= c:
+            qualifying += 1
+            value = _log_mean_of(vals, x)
+            if best is None or value < best[0]:
+                best = (value, label)
+    delta_hat, worst_f = best if best is not None else (None, None)
+    return DeltaEstimate(delta_hat, worst_f, qualifying, len(candidates))
+
+
+class TestEstimateDeltaReference:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 99])
+    @pytest.mark.parametrize("x", [2, 7.5, 100, 1000, 4097.25, 20000])
+    @pytest.mark.parametrize("c", [0.01, 0.1, 0.5, 0.9, 1.0])
+    def test_grid_matches_reference(self, c, x, seed):
+        trials = 30
+        assert estimate_delta(c, x, trials, seed) == reference_estimate(c, x, trials, seed)
+
+    @pytest.mark.parametrize("x,seed", [(100, 3), (1000, 7), (20000, 1), (300.5, 11)])
+    def test_thresholds_at_a_candidates_exact_mean(self, x, seed, monkeypatch):
+        # c equal to a candidate's exact |mean|, or one ulp either side, lies
+        # inside every margin: the exact sum has to decide.
+        trials = 12
+        means = [abs(_mean_of(f.values_upto(x), x)) for _, f in reference_candidates(x, trials, seed)]
+        means = [m for m in means if 0 < m <= 1]
+        calls = []
+
+        def counting_sum(a):
+            calls.append(len(a))
+            return sums_exact_sum(a)
+
+        monkeypatch.setattr(sums, "_exact_sum", counting_sum)
+        for m in sorted(set(means))[:: max(len(means) // 4, 1)]:
+            for c in (m, math.nextafter(m, 0.0), math.nextafter(m, 2.0)):
+                if not 0 < c <= 1:
+                    continue
+                calls.clear()
+                est = estimate_delta(c, x, trials, seed)
+                # One exact sum per qualifying log-mean, and at least one
+                # threshold the float sum could not decide.
+                assert len(calls) > est.qualifying
+                assert est == reference_estimate(c, x, trials, seed)
 
 
 class TestEstimateDelta:

@@ -23,6 +23,8 @@ from charscan.sums import (
     partial_sum,
     pv_ratios,
     _exact_sum,
+    _mean_of,
+    _mean_reaches,
     restricted_log_sum,
 )
 
@@ -343,6 +345,71 @@ class TestExactSum:
         late[-1] = bad
         with pytest.raises(ValueError):
             _exact_sum(late)
+
+
+def reference_reaches(a, x, c):
+    return abs(_exact_sum(a) / x) >= c
+
+
+@st.composite
+def threshold_cases(draw):
+    """(a, x, c), with c often within a few ulps of the exact |mean|."""
+    a = np.array(draw(st.lists(finite_doubles, max_size=80)), dtype=np.float64)
+    x = draw(st.one_of(st.floats(1.0, 1e9), st.integers(1, 10**6).map(float)))
+    exact = abs(_exact_sum(a) / x)
+    if exact > 0 and draw(st.booleans()):
+        c = exact
+        for _ in range(draw(st.integers(0, 3))):
+            c = math.nextafter(c, math.inf if draw(st.booleans()) else 0.0)
+    else:
+        c = draw(st.floats(2.0**-1000, 1e300))
+    if c <= 0:
+        c = 2.0**-1074
+    return a, x, c
+
+
+class TestMeanReaches:
+    @given(threshold_cases())
+    def test_equals_exact_decision(self, case):
+        a, x, c = case
+        assert _mean_reaches(a, x, c) == reference_reaches(a, x, c)
+
+    @pytest.mark.parametrize(
+        "values,x",
+        [
+            ([1e16, 1.0, -1e16], 1.0),  # the float sum loses the 1 entirely
+            ([1.0, 2.0**-53, 2.0**-53], 3.0),
+            ([0.1] * 10, 1.0),
+            ([1.0, -(1.0 - 2.0**-53), -(2.0**-53)], 7.0),
+            ([2.0**-1074] * 3, 2.0),
+        ],
+    )
+    def test_cancellation_at_the_boundary(self, values, x):
+        a = np.array(values)
+        exact = abs(_exact_sum(a) / x)
+        for c in (exact, math.nextafter(exact, 0.0), math.nextafter(exact, 2.0), 0.5, 1.0):
+            if c > 0:
+                assert _mean_reaches(a, x, c) == reference_reaches(a, x, c), c
+
+    def test_exact_sum_only_near_the_threshold(self, monkeypatch):
+        calls = []
+
+        def counting_sum(a):
+            calls.append(len(a))
+            return _exact_sum(a)
+
+        monkeypatch.setattr(sums, "_exact_sum", counting_sum)
+        x = 10**5
+        vals = CMF.random(x, np.random.default_rng(5)).values_upto(x)
+        m = abs(_mean_of(vals, x))
+        calls.clear()
+        assert _mean_reaches(vals, x, 0.1) == (m >= 0.1)
+        assert _mean_reaches(vals, x, m / 2) is True
+        assert _mean_reaches(vals, x, min(2 * m, 1.0)) is False
+        assert calls == []
+        for c in (m, math.nextafter(m, 0.0), math.nextafter(m, 1.0)):
+            assert _mean_reaches(vals, x, c) == (m >= c)
+        assert calls == [x] * 3
 
 
 class TestLogSums:
