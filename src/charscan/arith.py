@@ -153,69 +153,64 @@ def kronecker(a: int, n: int) -> int:
 
 
 def _expansion_plan(
-    table: SpfTable, limit: int, primes: np.ndarray | None = None
+    table: SpfTable, limit: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Index arithmetic of the smallest-factor expansion over 1 <= n <= limit.
 
-    Yields one (index, cofactor) pair of uint32 arrays per block lo <= n < hi
+    Yields one (index, cofactor) pair of intp arrays per block lo <= n < hi
     of n >= 2, in order, where hi <= 2 lo and hi - lo <= _PLAN_BLOCK. index
-    locates f(spf(n)) in the prime-value array: with primes =
-    sieve_primes(limit) it is the position of spf(n) among them, for values
-    aligned with primes; without, it is spf(n) itself, for values indexed by
-    n. cofactor is n // spf(n) - 1, the position of the cofactor in the
-    output. The blocks are computed lazily, so one expansion never holds them
-    all; tuple() keeps a plan for reuse across functions.
+    is spf(n) and cofactor is n // spf(n); both locate values in a buffer
+    indexed by n. They are intp because numpy gathers with any other index
+    type several times slower. The blocks are computed lazily, so one
+    expansion never holds them all; tuple() keeps a plan for reuse across
+    functions.
     """
     table.require(limit)
     spf = table.spf
-    if primes is not None:
-        rank = np.empty(limit + 1, dtype=np.uint32)  # read only at primes
-        rank[primes] = np.arange(len(primes), dtype=np.uint32)
     lo = 2
     while lo <= limit:
         hi = min(2 * lo, lo + _PLAN_BLOCK, limit + 1)
-        s = spf[lo:hi]
-        cofactor = np.arange(lo, hi, dtype=np.uint32)
-        np.floor_divide(cofactor, s, out=cofactor)
-        cofactor -= 1
-        yield (s if primes is None else rank[s]), cofactor
+        index = spf[lo:hi].astype(np.intp)
+        cofactor = np.arange(lo, hi, dtype=np.intp)
+        cofactor //= index
+        yield index, cofactor
         lo = hi
 
 
 def _apply_plan(
-    plan: Iterable[tuple[np.ndarray, np.ndarray]],
-    prime_vals: np.ndarray,
-    out: np.ndarray,
+    plan: Iterable[tuple[np.ndarray, np.ndarray]], v: np.ndarray
 ) -> np.ndarray:
-    """Fill out[i] = f(i + 1) from f's prime values by following plan.
+    """Expand f in place: v[p] = f(p) at the primes on entry, v[n] = f(n) after.
 
-    Applies f(n) = f(spf(n)) * f(n // spf(n)) block by block. A block's
-    cofactors are at most n / 2 < lo, so they lie in earlier blocks and are
-    already final: each block is one gather from prime_vals and one in-place
-    product, the same two operands as the direct recurrence.
+    v is indexed by n and covers the plan's range; its entries at composite
+    n are ignored. Sets v[0] = 0 and v[1] = 1, then applies
+    f(n) = f(spf(n)) * f(n // spf(n)) block by block. In a block, a composite
+    n has spf(n) <= sqrt(n) < lo and cofactor n // spf(n) <= n / 2 < lo, so
+    both factors lie in earlier blocks and are already final; a prime n reads
+    its own entry f(p) and multiplies it by f(1) = 1, which keeps its bits.
+    Each block is one gather and one in-place product, the same two operands
+    as the direct recurrence.
     """
-    out[0] = 1
-    lo = 1
+    v[0] = 0
+    v[1] = 1
+    lo = 2
     for index, cofactor in plan:
-        block = out[lo : lo + len(index)]
-        np.take(prime_vals, index, out=block)
-        block *= out[cofactor]
+        block = v[lo : lo + len(index)]
+        np.take(v, index, out=block)
+        block *= v[cofactor]
         lo += len(index)
-    return out
+    return v
 
 
 def _expand_multiplicative(
-    prime_vals: np.ndarray, table: SpfTable, limit: int
+    v: np.ndarray, table: SpfTable, limit: int
 ) -> np.ndarray:
     """Extend values on primes to all 1 <= n <= limit by smallest-factor peeling.
 
-    prime_vals is indexed by n, with prime_vals[p] = f(p) at primes; every
-    other entry is ignored. Returns v with v[n] = f(n) for n >= 1 and v[0] = 0.
+    v has length limit + 1 and holds v[p] = f(p) at the primes; it is
+    expanded in place and returned, with v[n] = f(n) for n >= 1 and v[0] = 0.
     """
-    v = np.empty(limit + 1, dtype=prime_vals.dtype)
-    v[0] = 0
-    _apply_plan(_expansion_plan(table, limit), prime_vals, v[1:])
-    return v
+    return _apply_plan(_expansion_plan(table, limit), v)
 
 
 def liouville(limit: int, table: SpfTable | None = None) -> np.ndarray:
@@ -226,9 +221,8 @@ def liouville(limit: int, table: SpfTable | None = None) -> np.ndarray:
         return np.ones(1, dtype=np.int8)
     if table is None:
         table = build_spf(limit)
-    pv = np.full(limit + 1, -1, dtype=np.int8)
-    pv[0] = pv[1] = 1
-    return _expand_multiplicative(pv, table, limit)[1:]
+    v = np.full(limit + 1, -1, dtype=np.int8)
+    return _expand_multiplicative(v, table, limit)[1:]
 
 
 def smallest_prime_above(

@@ -43,6 +43,7 @@ from .sums import (
     CompletelyMultiplicativeFunction,
     MeansReport,
     _conv_mean_of,
+    _floor_finite,
     _log_mean_of,
     _mean_of,
     _mean_reaches,
@@ -289,7 +290,7 @@ def lemma_b_report(
     holds up to an absolute constant. Below min_x the report is flagged as
     outside the regime where a threshold x0 is intended to apply.
     """
-    if x < 2:
+    if _floor_finite(x) < 2:
         raise ValueError("x must be at least 2")
     vals = f.values_upto(x, table)
     m = _mean_of(vals, x)
@@ -336,24 +337,27 @@ def estimate_delta(c: float, x: float, trials: int, seed: int) -> DeltaEstimate:
     Deterministic in seed. If nothing qualifies, the estimate fields are None
     and qualifying is 0.
 
-    Every candidate is expanded by one shared plan into one buffer. The
-    threshold is decided from the float sum with a rigorous error margin;
-    only a mean within the margin of c, and only a qualifying candidate's
-    log-mean, is summed exactly.
+    Every candidate is scattered onto the primes of one buffer indexed by n
+    and expanded there in place by one shared plan. The threshold is decided
+    from the float sum with a rigorous error margin; only a mean within the
+    margin of c, and only a qualifying candidate's log-mean, is summed
+    exactly.
     """
     if not 0 < c <= 1:
         raise ValueError("c must lie in (0, 1]")
-    if x < 2:
+    m = _floor_finite(x)
+    if m < 2:
         raise ValueError("x must be at least 2")
     if trials < 1:
         raise ValueError("trials must be positive")
-    m = math.floor(x)
     rng = np.random.default_rng(seed)
-    # One plan and one output buffer serve every candidate; each candidate
-    # is its array of values on primes, aligned with primes.
+    # One plan, one buffer and one scratch array serve every candidate; each
+    # candidate is its array of values on primes, aligned with primes.
     primes = sieve_primes(m)
-    plan = tuple(_expansion_plan(build_spf(m), m, primes))
-    vals = np.empty(m)
+    plan = tuple(_expansion_plan(build_spf(m), m))
+    v = np.empty(m + 1)
+    vals = v[1:]
+    scratch = np.empty(m)
     size = len(primes)
 
     # Built one at a time, so only the candidate being evaluated is held.
@@ -371,8 +375,9 @@ def estimate_delta(c: float, x: float, trials: int, seed: int) -> DeltaEstimate:
     best: tuple[float, str] | None = None
     qualifying = 0
     for count, (label, values) in enumerate(candidates(), 1):
-        _apply_plan(plan, values, vals)
-        if _mean_reaches(vals, x, c):
+        v[primes] = values
+        _apply_plan(plan, v)
+        if _mean_reaches(vals, x, c, scratch):
             qualifying += 1
             value = _log_mean_of(vals, x)
             if best is None or value < best[0]:

@@ -2,10 +2,10 @@
 
 Character partial sums are exact integers. Only the f(n)/n style sums
 introduce floating point, and those are exactly rounded: sums over numpy
-arrays go through the blocked exact summation _exact_sum, which equals
-math.fsum, and the short generator sums over character values use math.fsum
-itself. Quoted 1e-9 tolerances are therefore dominated by the mathematics
-rather than the summation order.
+arrays go block by block into the exact accumulator _exact_total, which
+equals math.fsum, and the short generator sums over character values use
+math.fsum itself. Quoted 1e-9 tolerances are therefore dominated by the
+mathematics rather than the summation order.
 
 A completely multiplicative function stores its prime values once, as a
 float64 array aligned with sieve_primes(limit); callers that need several
@@ -15,15 +15,14 @@ statistics of one (f, x) expand f once with values_upto.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .arith import (
     SpfTable,
-    _apply_plan,
-    _expansion_plan,
+    _expand_multiplicative,
     build_spf,
     is_prime,
     sieve_primes,
@@ -88,6 +87,13 @@ def _prime_index(primes: np.ndarray, p) -> int | None:
     if i < len(primes) and primes[i] == p:
         return i
     return None
+
+
+def _floor_finite(x: float) -> int:
+    """floor(x), with a ValueError of its own for inf and nan."""
+    if not math.isfinite(x):
+        raise ValueError("x must be a finite number")
+    return math.floor(x)
 
 
 class _PrimeValues(Mapping[int, float]):
@@ -191,8 +197,12 @@ class CompletelyMultiplicativeFunction:
         return type(self)(_PrimeValues(self.primes, values, self.limit), self.limit)
 
     def values_upto(self, x: float, table: SpfTable | None = None) -> np.ndarray:
-        """f(1..floor(x)) as float64 (index i holds n = i + 1)."""
-        m = math.floor(x)
+        """f(1..floor(x)) as float64 (index i holds n = i + 1).
+
+        The result is a view of one length floor(x) + 1 buffer indexed by n,
+        expanded in place from f's values scattered onto the primes.
+        """
+        m = _floor_finite(x)
         if m < 1:
             raise ValueError("x must be at least 1")
         if m > self.limit:
@@ -202,8 +212,9 @@ class CompletelyMultiplicativeFunction:
         if table is None:
             table = build_spf(m)
         k = np.searchsorted(self.primes, m, side="right")
-        plan = _expansion_plan(table, m, self.primes[:k])
-        return _apply_plan(plan, self.values[:k], np.empty(m))
+        v = np.empty(m + 1)
+        v[self.primes[:k]] = self.values[:k]
+        return _expand_multiplicative(v, table, m)[1:]
 
 
 @dataclass(frozen=True)
@@ -332,38 +343,54 @@ def max_partial_sum(
     return SumProfile(modulus=q, max_abs=peak, argmax=first, samples=samples)
 
 
-def _exact_sum(a: np.ndarray) -> float:
-    """Correctly rounded sum of a float64 array; equals math.fsum(a).
+def _exact_total(blocks: Iterable[np.ndarray]) -> float:
+    """Correctly rounded sum of every value in blocks; equals math.fsum.
 
-    Each element is split by frexp into a 53-bit integer mantissa and an
-    exponent. Per block of _SUM_BLOCK elements, the mantissas are summed per
-    exponent with bincount in two halves (high 27 bits, low 26 bits), so every
-    float64 partial sum stays below 2^53 and is exact. The per-exponent sums
-    are combined as one Python integer in units of 2^-1127, and a single
-    int/int true division, which is correctly rounded, gives the result.
+    Each block holds at most _SUM_BLOCK float64 values. Each element is split
+    by frexp into a 53-bit integer mantissa and an exponent. Per block, the
+    mantissas are summed per exponent with bincount in two halves (high 27
+    bits, low 26 bits), so every float64 partial sum stays below 2^53 and is
+    exact. The per-exponent sums of all blocks accumulate in one Python
+    integer in units of 2^-1127, and a single int/int true division, which is
+    correctly rounded, gives the result. The sum is exact, so where the
+    blocks begin and end cannot change a bit.
     """
-    a = np.asarray(a, dtype=np.float64)
     total = 0
-    for start in range(0, len(a), _SUM_BLOCK):
-        block = a[start : start + _SUM_BLOCK]
+    for block in blocks:
         if not np.isfinite(block).all():
             raise ValueError("cannot sum non-finite values")
         mantissa, exponent = np.frexp(block)
-        high = np.floor(np.ldexp(mantissa, 27))
-        low = np.ldexp(mantissa, 53) - np.ldexp(high, 26)
-        shift = exponent + _EXP_OFFSET
-        high_sums = np.bincount(shift, weights=high)
-        low_sums = np.bincount(shift, weights=low)
+        mantissa *= 2.0**27
+        high = np.floor(mantissa)
+        mantissa -= high  # exact: the 26 low bits, as a fraction
+        mantissa *= 2.0**26
+        exponent += _EXP_OFFSET
+        high_sums = np.bincount(exponent, weights=high)
+        low_sums = np.bincount(exponent, weights=mantissa)
         for e in np.flatnonzero((high_sums != 0) | (low_sums != 0)).tolist():
             total += ((int(high_sums[e]) << 26) + int(low_sums[e])) << e
     return total / _SUM_SCALE
+
+
+def _block_bounds(length: int) -> Iterator[tuple[int, int]]:
+    """(lo, hi) of consecutive slices of at most _SUM_BLOCK covering range(length)."""
+    for lo in range(0, length, _SUM_BLOCK):
+        yield lo, min(lo + _SUM_BLOCK, length)
+
+
+def _exact_sum(a: np.ndarray) -> float:
+    """Correctly rounded sum of a float64 array; equals math.fsum(a)."""
+    a = np.asarray(a, dtype=np.float64)
+    return _exact_total(a[lo:hi] for lo, hi in _block_bounds(len(a)))
 
 
 def _mean_of(vals: np.ndarray, x: float) -> float:
     return _exact_sum(vals) / x
 
 
-def _mean_reaches(vals: np.ndarray, x: float, c: float) -> bool:
+def _mean_reaches(
+    vals: np.ndarray, x: float, c: float, scratch: np.ndarray
+) -> bool:
     """abs(_mean_of(vals, x)) >= c, summed exactly only when floats cannot tell.
 
     For c > 0 and x >= 1. The float sum s of n terms, in any order of its
@@ -374,13 +401,15 @@ def _mean_reaches(vals: np.ndarray, x: float, c: float) -> bool:
     of the computed sum|a_i|; adds 2^-48 (|s| + c x), which covers the two
     roundings of fl(fl(S)/x) and those of this test; and adds 2^-1000 x for
     underflow. Beyond the margin the sign of |s| - c x is the answer; within
-    it, the exact sum is.
+    it, the exact sum is. scratch, a float64 array as long as vals, holds
+    |vals| for the bound, so a caller testing many candidates allocates it
+    once.
     """
     s = abs(float(np.sum(vals)))
     cx = c * x
     k = max(len(vals) - 1, 0) * _UNIT_ROUNDOFF
     margin = (
-        2.0 * k / (1.0 - k) * float(np.sum(np.abs(vals)))
+        2.0 * k / (1.0 - k) * float(np.sum(np.abs(vals, out=scratch)))
         + 2.0**-48 * (s + cx)
         + 2.0**-1000 * x
     )
@@ -392,14 +421,28 @@ def _mean_reaches(vals: np.ndarray, x: float, c: float) -> bool:
 
 
 def _log_mean_of(vals: np.ndarray, x: float) -> float:
+    """(1/log x) * sum of vals[n-1] / n, one block of n at a time."""
     if x < 2:
         raise ValueError("x must be at least 2 for the log normalization")
-    return _exact_sum(vals / np.arange(1, len(vals) + 1)) / math.log(x)
+
+    def terms() -> Iterator[np.ndarray]:
+        for lo, hi in _block_bounds(len(vals)):
+            n = np.arange(lo + 1, hi + 1, dtype=np.float64)
+            yield np.divide(vals[lo:hi], n, out=n)
+
+    return _exact_total(terms()) / math.log(x)
 
 
 def _conv_mean_of(vals: np.ndarray, x: float) -> float:
+    """(1/x) * sum of vals[d-1] * (m // d) with m = len(vals), one block of d at a time."""
     m = len(vals)
-    return _exact_sum(vals * (m // np.arange(1, m + 1))) / x
+
+    def terms() -> Iterator[np.ndarray]:
+        for lo, hi in _block_bounds(m):
+            d = np.arange(lo + 1, hi + 1, dtype=np.int64)
+            yield vals[lo:hi] * np.floor_divide(m, d, out=d)
+
+    return _exact_total(terms()) / x
 
 
 def mean(
@@ -450,13 +493,15 @@ def ht_u(f: CompletelyMultiplicativeFunction, x: float) -> float:
     Zero exactly when f is 1 on every prime up to x; grows as f moves away
     from the constant function.
     """
-    if x < 2:
+    m = _floor_finite(x)
+    if m < 2:
         raise ValueError("x must be at least 2")
-    m = math.floor(x)
     if m > f.limit:
         raise ValueError(f"f is only defined up to {f.limit}, need {m}")
     k = np.searchsorted(f.primes, m, side="right")
-    return _exact_sum((1.0 - f.values[:k]) / f.primes[:k])
+    terms = 1.0 - f.values[:k]
+    terms /= f.primes[:k]
+    return _exact_sum(terms)
 
 
 def gs_bound(u: float, x: float) -> float:

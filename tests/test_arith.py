@@ -67,6 +67,45 @@ def rounds_expand(prime_vals, table, limit):
     return v
 
 
+# The former rank route, kept as a reference: values aligned with the primes,
+# located through a length limit + 1 rank array, expanded into an output where
+# out[i] = f(i + 1).
+
+def rank_plan(table, limit, primes):
+    """Blocks of (position of spf(n) among primes, n // spf(n) - 1)."""
+    table.require(limit)
+    rank = np.empty(limit + 1, dtype=np.uint32)  # read only at primes
+    rank[primes] = np.arange(len(primes), dtype=np.uint32)
+    lo = 2
+    while lo <= limit:
+        hi = min(2 * lo, lo + arith._PLAN_BLOCK, limit + 1)
+        s = table.spf[lo:hi]
+        cofactor = np.arange(lo, hi, dtype=np.uint32)
+        np.floor_divide(cofactor, s, out=cofactor)
+        cofactor -= 1
+        yield rank[s], cofactor
+        lo = hi
+
+
+def rank_apply(plan, short, out):
+    """out[i] = f(i + 1) from short, f's values aligned with the primes."""
+    out[0] = 1
+    lo = 1
+    for index, cofactor in plan:
+        block = out[lo : lo + len(index)]
+        np.take(short, index, out=block)
+        block *= out[cofactor]
+        lo += len(index)
+    return out
+
+
+def rank_expand(prime_vals, table, limit):
+    """f(1..limit) by the rank route, from prime_vals indexed by n."""
+    primes = sieve_primes(limit)
+    out = np.empty(limit, dtype=prime_vals.dtype)
+    return rank_apply(rank_plan(table, limit, primes), prime_vals[primes], out)
+
+
 class TestSievePrimes:
     def test_examples(self):
         assert list(sieve_primes(10)) == [2, 3, 5, 7]
@@ -203,31 +242,39 @@ class TestExpandMultiplicative:
 
     @pytest.mark.parametrize("limit", EXPANSION_LIMITS)
     def test_matches_rounds_reference(self, limit, wide_table):
+        # In place, in float64 and int8, against the whole-array rounds and
+        # the rank route; entries at composite n hold noise on entry.
         rng = np.random.default_rng(limit)
         floats = rng.uniform(-1.0, 1.0, size=limit + 1)
         signs = rng.integers(-1, 2, size=limit + 1).astype(np.int8)
         for prime_vals in (floats, signs):
             prime_vals[1] = 1
             for table in (build_spf(limit), wide_table):
-                got = _expand_multiplicative(prime_vals, table, limit)
+                v = prime_vals.copy()
+                got = _expand_multiplicative(v, table, limit)
                 want = rounds_expand(prime_vals, table, limit)
+                assert got is v
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes(), (limit, prime_vals.dtype)
+                by_rank = rank_expand(prime_vals, table, limit)
+                assert got[1:].tobytes() == by_rank.tobytes(), (limit, prime_vals.dtype)
 
     def test_undersized_table_rejected(self):
         with pytest.raises(ValueError):
             _expand_multiplicative(np.ones(101), build_spf(50), 100)
         with pytest.raises(ValueError):
-            tuple(_expansion_plan(build_spf(50), 100, sieve_primes(100)))
+            tuple(_expansion_plan(build_spf(50), 100))
 
     @pytest.mark.parametrize("limit", [2, 3, 1000, 4097, 10**5])
     def test_one_plan_refills_one_buffer(self, limit, wide_table):
-        # One kept plan fills one buffer for several functions in turn; a
-        # stale entry from an earlier function would show as a mismatch.
+        # One kept plan expands several functions in turn in one buffer
+        # indexed by n; a stale entry from an earlier function would show as
+        # a mismatch with the rounds and with the rank route.
         primes = sieve_primes(limit)
-        plan = tuple(_expansion_plan(wide_table, limit, primes))
-        by_n = tuple(_expansion_plan(wide_table, limit))
+        plan = tuple(_expansion_plan(wide_table, limit))
+        by_rank = tuple(rank_plan(wide_table, limit, primes))
         rng = np.random.default_rng(limit)
+        v = np.full(limit + 1, np.nan)
         out = np.full(limit, np.nan)
         short_sets = [
             rng.uniform(-1.0, 1.0, len(primes)),
@@ -240,11 +287,12 @@ class TestExpandMultiplicative:
             prime_vals = np.zeros(limit + 1)
             prime_vals[1] = 1.0
             prime_vals[primes] = short
-            want = rounds_expand(prime_vals, wide_table, limit)[1:]
-            assert _apply_plan(plan, short, out) is out
-            assert out.tobytes() == want.tobytes()
-            _apply_plan(by_n, prime_vals, out)
-            assert out.tobytes() == want.tobytes()
+            want = rounds_expand(prime_vals, wide_table, limit)
+            v[primes] = short
+            assert _apply_plan(plan, v) is v
+            assert v.tobytes() == want.tobytes()
+            rank_apply(by_rank, short, out)
+            assert out.tobytes() == want[1:].tobytes()
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 64, 1000])
     def test_block_size_does_not_change_bits(self, block, monkeypatch):
@@ -254,25 +302,30 @@ class TestExpandMultiplicative:
         rng = np.random.default_rng(block)
         prime_vals = rng.uniform(-1.0, 1.0, size=limit + 1)
         prime_vals[1] = 1.0
-        got = _expand_multiplicative(prime_vals, table, limit)
+        got = _expand_multiplicative(prime_vals.copy(), table, limit)
         assert got.tobytes() == rounds_expand(prime_vals, table, limit).tobytes()
         blocks = list(_expansion_plan(table, limit))
         assert max(len(index) for index, _ in blocks) <= block
         assert sum(len(index) for index, _ in blocks) == limit - 1
 
     def test_plan_positions(self):
-        # index locates spf(n) among the primes; cofactor is n // spf(n) - 1.
+        # index is spf(n) and cofactor n // spf(n), both positions by n; the
+        # rank route's index locates spf(n) among the primes and its
+        # cofactor is n // spf(n) - 1.
         limit = 300
         table = build_spf(limit)
         primes = sieve_primes(limit).tolist()
-        index = np.concatenate([i for i, _ in _expansion_plan(table, limit, np.array(primes))])
-        by_n = np.concatenate([i for i, _ in _expansion_plan(table, limit)])
+        index = np.concatenate([i for i, _ in _expansion_plan(table, limit)])
         cofactor = np.concatenate([c for _, c in _expansion_plan(table, limit)])
+        rank_blocks = list(rank_plan(table, limit, np.array(primes)))
+        rank_index = np.concatenate([i for i, _ in rank_blocks])
+        rank_cofactor = np.concatenate([c for _, c in rank_blocks])
         for n in range(2, limit + 1):
             p = trial_spf(n)
-            assert primes[index[n - 2]] == p
-            assert by_n[n - 2] == p
-            assert cofactor[n - 2] == n // p - 1
+            assert index[n - 2] == p
+            assert cofactor[n - 2] == n // p
+            assert primes[rank_index[n - 2]] == p
+            assert rank_cofactor[n - 2] == n // p - 1
 
 
 class TestSmallestPrimeAbove:

@@ -26,8 +26,9 @@ from charscan.experiments import (
     verify_lemma_bg,
 )
 from charscan.sums import (
+    _SUM_BLOCK,
     CompletelyMultiplicativeFunction,
-    _exact_sum as sums_exact_sum,
+    _exact_total as sums_exact_total,
     _log_mean_of,
     _mean_of,
     _PrimeValues,
@@ -267,6 +268,25 @@ class TestLemmaBReport:
         with pytest.raises(ValueError):
             lemma_b_report(CMF.ones(10), 1.5)
 
+    def test_peak_memory_is_the_values_plus_a_few_blocks(self):
+        # Past f's values and the table, the report holds one float64 value
+        # per n and block-sized temporaries; no other length-x array.
+        x = 2**20
+        table = build_spf(x)
+        f = CMF.random(x, np.random.default_rng(3))
+        tracemalloc.start()
+        try:
+            lemma_b_report(f, x, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (x + 1) + 8 * (8 * _SUM_BLOCK)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_x_rejected(self, bad):
+        with pytest.raises(ValueError, match="x must be a finite number"):
+            lemma_b_report(CMF.ones(200), bad)
+
     def test_serialized_form(self):
         js = lemma_b_report(CMF.ones(200), 200).to_json()
         assert js["x"] == 200.0
@@ -330,11 +350,12 @@ class TestEstimateDeltaReference:
         means = [m for m in means if 0 < m <= 1]
         calls = []
 
-        def counting_sum(a):
-            calls.append(len(a))
-            return sums_exact_sum(a)
+        def counting_total(blocks):
+            calls.append(None)
+            return sums_exact_total(blocks)
 
-        monkeypatch.setattr(sums, "_exact_sum", counting_sum)
+        # Every exact reduction, of a mean or of a log-mean, is one call.
+        monkeypatch.setattr(sums, "_exact_total", counting_total)
         for m in sorted(set(means))[:: max(len(means) // 4, 1)]:
             for c in (m, math.nextafter(m, 0.0), math.nextafter(m, 2.0)):
                 if not 0 < c <= 1:
@@ -419,6 +440,16 @@ class TestEstimateDelta:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 10 * per_candidate
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_x_rejected_before_any_work(self, bad, monkeypatch):
+        def no_sieve(limit):
+            raise AssertionError("a sieve ran for a non-finite x")
+
+        monkeypatch.setattr(experiments, "sieve_primes", no_sieve)
+        monkeypatch.setattr(experiments, "build_spf", no_sieve)
+        with pytest.raises(ValueError, match="x must be a finite number"):
+            estimate_delta(0.1, bad, 5, seed=0)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

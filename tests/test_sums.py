@@ -22,7 +22,9 @@ from charscan.sums import (
     mean,
     partial_sum,
     pv_ratios,
+    _conv_mean_of,
     _exact_sum,
+    _log_mean_of,
     _mean_of,
     _mean_reaches,
     restricted_log_sum,
@@ -372,7 +374,7 @@ class TestMeanReaches:
     @given(threshold_cases())
     def test_equals_exact_decision(self, case):
         a, x, c = case
-        assert _mean_reaches(a, x, c) == reference_reaches(a, x, c)
+        assert _mean_reaches(a, x, c, np.empty(len(a))) == reference_reaches(a, x, c)
 
     @pytest.mark.parametrize(
         "values,x",
@@ -386,10 +388,11 @@ class TestMeanReaches:
     )
     def test_cancellation_at_the_boundary(self, values, x):
         a = np.array(values)
+        scratch = np.empty(len(a))
         exact = abs(_exact_sum(a) / x)
         for c in (exact, math.nextafter(exact, 0.0), math.nextafter(exact, 2.0), 0.5, 1.0):
             if c > 0:
-                assert _mean_reaches(a, x, c) == reference_reaches(a, x, c), c
+                assert _mean_reaches(a, x, c, scratch) == reference_reaches(a, x, c), c
 
     def test_exact_sum_only_near_the_threshold(self, monkeypatch):
         calls = []
@@ -402,14 +405,85 @@ class TestMeanReaches:
         x = 10**5
         vals = CMF.random(x, np.random.default_rng(5)).values_upto(x)
         m = abs(_mean_of(vals, x))
+        scratch = np.empty(x)
         calls.clear()
-        assert _mean_reaches(vals, x, 0.1) == (m >= 0.1)
-        assert _mean_reaches(vals, x, m / 2) is True
-        assert _mean_reaches(vals, x, min(2 * m, 1.0)) is False
+        assert _mean_reaches(vals, x, 0.1, scratch) == (m >= 0.1)
+        assert _mean_reaches(vals, x, m / 2, scratch) is True
+        assert _mean_reaches(vals, x, min(2 * m, 1.0), scratch) is False
         assert calls == []
         for c in (m, math.nextafter(m, 0.0), math.nextafter(m, 1.0)):
-            assert _mean_reaches(vals, x, c) == (m >= c)
+            assert _mean_reaches(vals, x, c, scratch) == (m >= c)
         assert calls == [x] * 3
+
+
+    def test_scratch_holds_the_magnitudes(self):
+        # The bound reads |vals| from the caller's scratch, whatever it held.
+        vals = CMF.random(1000, np.random.default_rng(8)).values_upto(1000)
+        scratch = np.full(1000, np.nan)
+        _mean_reaches(vals, 1000, 0.5, scratch)
+        assert scratch.tobytes() == np.abs(vals).tobytes()
+
+
+# The former whole-array routes, kept as references: one length-m divisor
+# array and one length-m product before a single exact sum.
+
+def whole_log_sum(vals):
+    return _exact_sum(vals / np.arange(1, len(vals) + 1))
+
+
+def whole_conv_sum(vals):
+    m = len(vals)
+    return _exact_sum(vals * (m // np.arange(1, m + 1)))
+
+
+def lengths_around_edges(block):
+    """Lengths one either side of the first two block edges, at least 2."""
+    return sorted({n for k in (1, 2) for n in (k * block - 1, k * block, k * block + 1) if n >= 2})
+
+
+class TestBlockedReductions:
+    @pytest.fixture(scope="class")
+    def f(self):
+        return CMF.random(2**17 + 1, np.random.default_rng(21))
+
+    @pytest.mark.parametrize("block", [1, 7, 2**16])
+    def test_block_size_does_not_change_bits(self, block, f, monkeypatch):
+        cases = [(n, x) for n in lengths_around_edges(block) + [100] for x in (n, n + 0.5)]
+        vals_of = {n: f.values_upto(n) for n, _ in cases}
+        want = [
+            (
+                _exact_sum(vals_of[n]),
+                whole_log_sum(vals_of[n]) / math.log(x),
+                whole_conv_sum(vals_of[n]) / x,
+            )
+            for n, x in cases
+        ]
+        monkeypatch.setattr(sums, "_SUM_BLOCK", block)
+        for (n, x), (total, log_m, conv_m) in zip(cases, want):
+            vals = vals_of[n]
+            assert _exact_sum(vals) == total == math.fsum(vals), (n, x)
+            assert _log_mean_of(vals, x) == log_m, (n, x)
+            assert _conv_mean_of(vals, x) == conv_m, (n, x)
+
+    def test_means_match_the_whole_array_routes(self, f):
+        for x in (2, 3, 1000.5, 2**16 + 1, 2**17 + 1):
+            vals = f.values_upto(x)
+            assert log_mean(f, x) == whole_log_sum(vals) / math.log(x)
+            assert conv_mean(f, x) == whole_conv_sum(vals) / x
+
+
+class TestNonFiniteX:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejected_before_any_work(self, bad, monkeypatch):
+        def no_sieve(limit):
+            raise AssertionError("a sieve ran for a non-finite x")
+
+        f = CMF.random(100, np.random.default_rng(2))
+        monkeypatch.setattr(sums, "build_spf", no_sieve)
+        for call in (f.values_upto, lambda x: mean(f, x), lambda x: log_mean(f, x),
+                     lambda x: conv_mean(f, x), lambda x: ht_u(f, x)):
+            with pytest.raises(ValueError, match="x must be a finite number"):
+                call(bad)
 
 
 class TestLogSums:
