@@ -42,6 +42,7 @@ from .sums import (
     CONSTANTS,
     CompletelyMultiplicativeFunction,
     MeansReport,
+    _UNIT_ROUNDOFF,
     _conv_mean_of,
     _floor_finite,
     _log_mean_of,
@@ -120,13 +121,48 @@ class LemmaBgAudit:
         return {"lhs": self.lhs, "rhs_main": self.rhs_main, "gap": self.gap}
 
 
+def _log_sum_tail_bound(m_xi: int, n: int, q: int) -> float:
+    """Upper bound on |fl R(t) - fl R(n)| for every t with n < t <= q.
+
+    R(t) is the restricted log-sum of verify_lemma_bg and fl R its float64
+    value there. The coefficients of R sum to
+    A(t) = S_xi(t) - xi(ell) S_xi(floor(t/ell)), so |A| <= 2 m_xi, where m_xi
+    is the largest |S_xi(t)|, and Abel summation gives
+    |R(t) - R(n)| <= 4 m_xi / (n+1). Every fl R(t) with t <= q lies within
+    E = (gamma_{q+1} + 2u)(ln q + 1) of R(t): each term xi(k)/k is one
+    rounded division, off by at most u/k, and the sequential cumsum of t
+    terms is off by at most gamma_{t-1} times the sum of their magnitudes,
+    which is at most (1+u) H_q <= (1+u)(ln q + 1) (Higham, Accuracy and
+    Stability of Numerical Algorithms, sections 3.1 and 4.2; u = 2^-53,
+    gamma_k = k u / (1 - k u)). The bound returned is 4 m_xi/(n+1) + 2E, with
+    ln q bounded above by 0.7 times the bit length of q and the whole scaled
+    by 1 + 2^-40, so that the few roundings made here can only enlarge it.
+    """
+    k = (q + 1) * _UNIT_ROUNDOFF
+    drift = (k / (1.0 - k) + 2.0 * _UNIT_ROUNDOFF) * (0.7 * q.bit_length() + 1.0)
+    return (4 * m_xi / (n + 1) + 2.0 * drift) * (1.0 + 2.0**-40)
+
+
 def verify_lemma_bg(xi: QuadraticCharacter, psi: QuadraticCharacter) -> LemmaBgAudit:
     """Compare max|S_chi|/sqrt(q) against the scaled restricted log-sum peak.
 
     chi is the product of the two odd inputs, q its modulus, and the right
-    side is sqrt(ell)/(pi (ell-1)) times the maximum over t <= q of the
-    log-weighted xi-sum with multiples of ell removed. The restricted sum
-    only jumps at integers, so scanning n = 1..q is exhaustive over real t.
+    side is sqrt(ell)/(pi (ell-1)) times the peak of |R(t)| over t <= q, where
+    R(t) is the sum of xi(n)/n over n <= t with multiples of ell removed. R
+    only jumps at integers, so the peak over real t is a peak over n.
+
+    The walk over n stops early once the rest of it provably cannot reach
+    the peak. The largest |S_xi(t)|, m_xi, is read exactly from the values
+    walked, at n <= (m-1)/2 for xi mod m: by the reflection
+    S_xi(m-1-t) = -xi(-1) S_xi(t) and periodicity, that covers every t.
+    From then on, at the end of each block of n <= N the walk stops if the
+    peak so far exceeds |fl R(N)| plus _log_sum_tail_bound, the certified
+    bound on how far any later float value can move: 4 m_xi/(N+1) for R
+    itself plus twice its float error. The comparison is padded by
+    1 + 2^-50 against its own rounding. No float value past N can then
+    reach the peak, so lhs, rhs_main and gap are bit-identical to a walk
+    over every n <= q.
+
     The gap omits the bounded correction term, so it may be negative; what
     matters is that it is stable and bounded below.
     """
@@ -141,9 +177,21 @@ def verify_lemma_bg(xi: QuadraticCharacter, psi: QuadraticCharacter) -> LemmaBgA
     # The log-sum runs over n = 1..q in the blocks of xi's values. Each block
     # gets the running sum so far prepended before np.cumsum, so every
     # addition happens in the same order as one cumsum over all q terms.
+    # The exact sums S_xi(n), n <= half, ride along for m_xi.
+    half = (xi.modulus - 1) // 2
+    dtype = np.int32 if half < 2**31 else np.int64
     peak, carry, start = 0.0, 0.0, 1
+    m_xi, s_xi = 0, 0
     for block in _value_blocks(xi, q):
         running = np.empty(len(block) + 1)
+        if start <= half:
+            # S_xi(n) borrows the float buffer's memory before the terms fill it.
+            values = block[: half + 1 - start]
+            partial = running.view(dtype)[: len(values)]
+            np.cumsum(values, dtype=dtype, out=partial)
+            partial += s_xi
+            s_xi = int(partial[-1])
+            m_xi = max(m_xi, int(partial.max()), -int(partial.min()))
         running[0] = carry
         running[1:] = block
         running[1:] /= np.arange(start, start + len(block), dtype=np.float64)
@@ -152,6 +200,10 @@ def verify_lemma_bg(xi: QuadraticCharacter, psi: QuadraticCharacter) -> LemmaBgA
         carry = float(running[-1])
         peak = max(peak, float(running.max()), -float(running.min()))
         start += len(block)
+        if start > half and peak > (
+            abs(carry) + _log_sum_tail_bound(m_xi, start - 1, q)
+        ) * (1.0 + 2.0**-50):
+            break
     rhs_main = math.sqrt(ell) / (math.pi * (ell - 1)) * peak
     return LemmaBgAudit(lhs=lhs, rhs_main=rhs_main, gap=lhs - rhs_main)
 

@@ -6,6 +6,11 @@ whole-array routes they replaced: one value table for all n <= q, one
 np.cumsum over it. Their values come from kronecker, not from square
 marking, so the two routes share no arithmetic. Every comparison is exact,
 floats included: the blocked log-sum adds its terms in the same order.
+
+verify_lemma_bg also stops its log-sum early once a certified tail bound
+shows the peak is final. At the benchmark's moduli, q near 3*10^7, the
+whole-array reference is too large to build, so the reference there is the
+blocked walk over every n <= q that the early stop replaced.
 """
 
 import math
@@ -14,7 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from charscan import characters
+from charscan import characters, experiments
 from charscan.arith import kronecker
 from charscan.characters import legendre_character, product_character
 from charscan.experiments import LemmaBgAudit, burgess_scan, verify_lemma_bg
@@ -62,6 +67,42 @@ def reference_audit(xi, psi):
     running = np.cumsum(terms)
     rhs_main = math.sqrt(ell) / (math.pi * (ell - 1)) * float(np.max(np.abs(running)))
     return LemmaBgAudit(lhs=lhs, rhs_main=rhs_main, gap=lhs - rhs_main)
+
+
+def unpruned_audit(xi, psi):
+    """verify_lemma_bg without the early stop: the blocked log-sum over all n <= q."""
+    chi = product_character(xi, psi)
+    q = chi.modulus
+    ell = psi.modulus
+    lhs = max_partial_sum(chi).max_abs / math.sqrt(q)
+    peak, carry, start = 0.0, 0.0, 1
+    for block in characters._value_blocks(xi, q):
+        running = np.empty(len(block) + 1)
+        running[0] = carry
+        running[1:] = block
+        running[1:] /= np.arange(start, start + len(block), dtype=np.float64)
+        running[1 + (-start) % ell :: ell] = 0.0  # n = 0 mod ell
+        np.cumsum(running, out=running)
+        carry = float(running[-1])
+        peak = max(peak, float(running.max()), -float(running.min()))
+        start += len(block)
+    rhs_main = math.sqrt(ell) / (math.pi * (ell - 1)) * peak
+    return LemmaBgAudit(lhs=lhs, rhs_main=rhs_main, gap=lhs - rhs_main)
+
+
+@pytest.fixture
+def xi_blocks(monkeypatch):
+    """Counts the blocks of xi values verify_lemma_bg walks; reset by clear()."""
+    walked = []
+    walk = characters._value_blocks
+
+    def counting(chi, limit):
+        for block in walk(chi, limit):
+            walked.append(len(block))
+            yield block
+
+    monkeypatch.setattr(experiments, "_value_blocks", counting)
+    return walked
 
 
 def character(*factors):
@@ -142,20 +183,105 @@ def test_long_composite_walk_matches_reference(monkeypatch):
         assert max_partial_sum(chi, sample_at=points) == expected, size
 
 
-PAIRS = [(7, 3), (3, 7), (19, 7), (103, 23), (1019, 7), (23, 1019)]
+# (23, 7), (71, 11) and (311, 19) peak past (p-1)/2 and late in the walk;
+# (1019, 7) peaks at n = 509 = (p-1)/2. At (3943, 11) with blocks of 7, a
+# stop test made before m_xi covers n <= (p-1)/2 would end the walk too soon.
+PAIRS = [
+    (7, 3), (3, 7), (19, 7), (103, 23), (1019, 7), (23, 1019),
+    (23, 7), (71, 11), (311, 19), (3943, 11),
+]
+# The pairs whose walk stops before n = q at some block size of the grid.
+STOPS_MID_WALK = {(3, 7), (19, 7), (103, 23), (1019, 7), (23, 1019), (3943, 11)}
+
+
+def grid_sizes(p, ell):
+    """Block sizes for the audit grid; block 1, a Python-level loop per
+    value, only for q <= 10^4."""
+    sizes = {1, 7, 1 << 6, 1 << 12, p - 1, p, p + 1, ell - 1, ell, ell + 1}
+    if p * ell > 10_000:
+        sizes.discard(1)
+    return sorted(sizes)
 
 
 @pytest.mark.parametrize("p, ell", PAIRS, ids=str)
-def test_lemma_bg_matches_reference_bit_for_bit(p, ell, monkeypatch):
+def test_lemma_bg_matches_reference_bit_for_bit(p, ell, monkeypatch, xi_blocks):
     xi, psi = legendre_character(p), legendre_character(ell)
     expected = reference_audit(xi, psi)
     assert verify_lemma_bg(xi, psi) == expected
     q = p * ell
-    for size in sorted({1, 7, 1 << 6, 1 << 12, p - 1, p, p + 1, ell - 1, ell, ell + 1}):
-        if size == 1 and q > 10_000:
-            continue  # a Python-level loop per value; block 1 is covered above
+    stopped = []
+    for size in grid_sizes(p, ell):
+        monkeypatch.setattr(characters, "_BLOCK", size)
+        xi_blocks.clear()
+        assert verify_lemma_bg(xi, psi) == expected, size
+        if len(xi_blocks) < math.ceil(q / size):
+            stopped.append(size)
+    assert bool(stopped) == ((p, ell) in STOPS_MID_WALK), stopped
+
+
+@pytest.mark.parametrize("factors, ell", [((3, 5), 7), ((7, 13, 17), 11), ((3, 13), 19)], ids=str)
+def test_lemma_bg_with_composite_xi_matches_reference(factors, ell, monkeypatch):
+    # m_xi comes from n <= (m-1)/2 for xi mod m, m composite here.
+    xi, psi = character(*factors), legendre_character(ell)
+    expected = reference_audit(xi, psi)
+    for size in (7, 1 << 6, xi.modulus, 1 << 20):
         monkeypatch.setattr(characters, "_BLOCK", size)
         assert verify_lemma_bg(xi, psi) == expected, size
+
+
+def test_lemma_bg_grid_catches_an_unsound_tail_bound(monkeypatch):
+    # With no tail bound the walk stops as soon as its current value is
+    # below the peak so far, and misses the late peaks.
+    expected = {
+        (p, ell): reference_audit(legendre_character(p), legendre_character(ell))
+        for p, ell in PAIRS
+    }
+    monkeypatch.setattr(experiments, "_log_sum_tail_bound", lambda m_xi, n, q: 0.0)
+    differing = []
+    for p, ell in PAIRS:
+        for size in grid_sizes(p, ell):
+            monkeypatch.setattr(characters, "_BLOCK", size)
+            audit = verify_lemma_bg(legendre_character(p), legendre_character(ell))
+            if audit.rhs_main != expected[p, ell].rhs_main:
+                differing.append((p, ell, size))
+    assert differing
+
+
+@pytest.mark.parametrize("p, ell", [(1019, 7), (23, 7), (71, 11), (311, 19), (3, 7)], ids=str)
+def test_log_sum_tail_bound_covers_every_later_float_value(p, ell):
+    # max over t > N of |fl R(t) - fl R(N)|, from the whole-array float
+    # cumsum, against the bound at every N < q; m_xi from the whole period.
+    xi = legendre_character(p)
+    q = p * ell
+    terms = reference_values(xi, q).astype(np.float64)
+    terms /= np.arange(1, q + 1, dtype=np.float64)
+    terms[ell - 1 :: ell] = 0.0
+    running = np.cumsum(terms)
+    above = np.maximum.accumulate(running[::-1])[::-1]
+    below = np.minimum.accumulate(running[::-1])[::-1]
+    m_xi = int(np.abs(np.cumsum(reference_values(xi, p), dtype=np.int64)).max())
+    for n in range(1, q):
+        drift = max(above[n] - running[n - 1], running[n - 1] - below[n])
+        assert drift <= experiments._log_sum_tail_bound(m_xi, n, q), n
+
+
+# The benchmark's paste instances, and a pair whose q = 1,100,373 exceeds one
+# block of 2^20 (the walk stops after the first) and whose peak comes past
+# n = 1.
+LARGE_PAIRS = [(1607563, 19), (1361827, 23), (1615843, 19), (1630243, 19), (366791, 3)]
+
+
+@pytest.mark.parametrize("p, ell", LARGE_PAIRS, ids=str)
+def test_lemma_bg_matches_unpruned_walk_at_large_q(p, ell):
+    xi, psi = legendre_character(p), legendre_character(ell)
+    assert verify_lemma_bg(xi, psi) == unpruned_audit(xi, psi)
+
+
+def test_lemma_bg_stops_after_one_block_at_a_paste_modulus(xi_blocks):
+    q = 1615843 * 19
+    assert math.ceil(q / characters._BLOCK) == 30
+    verify_lemma_bg(legendre_character(1615843), legendre_character(19))
+    assert xi_blocks == [characters._BLOCK]
 
 
 def test_burgess_scan_matches_reference_route(monkeypatch):
