@@ -9,6 +9,7 @@ factors, and values always lie in {-1, 0, 1}.
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -108,11 +109,36 @@ def _legendre_value_table(p: int) -> np.ndarray:
     return tab
 
 
+# Tables mod p that a caller still holds. Walks of characters that share a
+# factor then share its table, and no table outlives its last holder.
+_live_tables: weakref.WeakValueDictionary[int, np.ndarray] = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _shared_value_table(p: int) -> np.ndarray:
+    """_legendre_value_table(p), read-only, shared while anyone holds it.
+
+    verify_lemma_bg holds xi's tables across its walk mod p*ell and its walk
+    mod p, so a thm-a call builds each table once. _value_blocks reads a
+    held table but builds any other for itself, so a pv-scan, whose walks
+    share nothing, pays no bookkeeping and keeps no table past its walk.
+    """
+    table = _live_tables.get(p)
+    if table is None:
+        table = _legendre_value_table(p)
+        table.setflags(write=False)
+        _live_tables[p] = table
+    return table
+
+
 def _value_blocks(chi: QuadraticCharacter, limit: int) -> Iterator[np.ndarray]:
     """chi(n) for 1 <= n <= limit as consecutive int8 blocks of _BLOCK values.
 
     Each prime factor p gets one periodic table E_p with E_p[a] = (a/p), long
-    enough for any block at any phase: min(_BLOCK + p - 1, limit + 1) values.
+    enough for any block at any phase: min(_BLOCK + p - 1, limit + 1) values,
+    extended from the table mod p that a caller of _shared_value_table holds,
+    or else from a new one.
     The block for n = a+1..a+L is then the slice of each E_p at offset
     (a+1) mod p, a view, and the product of those views; no gather and no
     roll per block. Working memory is O(_BLOCK + largest factor) whatever
@@ -122,7 +148,9 @@ def _value_blocks(chi: QuadraticCharacter, limit: int) -> Iterator[np.ndarray]:
     step = min(limit, _BLOCK)
     tables = []
     for p in chi.factors:
-        table = _legendre_value_table(p)
+        table = _live_tables.get(p)
+        if table is None:
+            table = _legendre_value_table(p)
         length = min(step + p - 1, limit + 1)
         tables.append((p, table if length <= p else np.resize(table, length)))
     for start in range(1, limit + 1, step):

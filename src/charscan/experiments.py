@@ -33,6 +33,7 @@ from .arith import (
 )
 from .characters import (
     QuadraticCharacter,
+    _shared_value_table,
     _value_blocks,
     evaluate,
     legendre_character,
@@ -43,6 +44,9 @@ from .sums import (
     CompletelyMultiplicativeFunction,
     MeansReport,
     _UNIT_ROUNDOFF,
+    _block_bounds,
+    _block_peak,
+    _chunk_heads,
     _conv_mean_of,
     _floor_finite,
     _log_mean_of,
@@ -173,11 +177,15 @@ def verify_lemma_bg(xi: QuadraticCharacter, psi: QuadraticCharacter) -> LemmaBgA
     chi = product_character(xi, psi)  # also validates coprimality
     q = chi.modulus
     ell = psi.modulus
+    # Held until the audit's walk ends, so both walks read one table per
+    # factor of xi.
+    held = [_shared_value_table(p) for p in xi.factors]
     lhs = max_partial_sum(chi).max_abs / math.sqrt(q)
     # The log-sum runs over n = 1..q in the blocks of xi's values. Each block
     # gets the running sum so far prepended before np.cumsum, so every
     # addition happens in the same order as one cumsum over all q terms.
-    # The exact sums S_xi(n), n <= half, ride along for m_xi.
+    # The exact sums S_xi(n), n <= half, ride along for m_xi, through the
+    # chunked peak kernel of _walk.
     half = (xi.modulus - 1) // 2
     dtype = np.int32 if half < 2**31 else np.int64
     peak, carry, start = 0.0, 0.0, 1
@@ -185,16 +193,16 @@ def verify_lemma_bg(xi: QuadraticCharacter, psi: QuadraticCharacter) -> LemmaBgA
     for block in _value_blocks(xi, q):
         running = np.empty(len(block) + 1)
         if start <= half:
-            # S_xi(n) borrows the float buffer's memory before the terms fill it.
             values = block[: half + 1 - start]
-            partial = running.view(dtype)[: len(values)]
-            np.cumsum(values, dtype=dtype, out=partial)
-            partial += s_xi
-            s_xi = int(partial[-1])
-            m_xi = max(m_xi, int(partial.max()), -int(partial.min()))
+            heads = _chunk_heads(values, s_xi)
+            value, _, s_xi = _block_peak(values, heads, m_xi, dtype)
+            m_xi = max(m_xi, value)
         running[0] = carry
         running[1:] = block
-        running[1:] /= np.arange(start, start + len(block), dtype=np.float64)
+        # Divided slice by slice: a divisor array as long as the block would
+        # add 8 bytes per value to the audit's peak memory.
+        for lo, hi in _block_bounds(len(block)):
+            running[1 + lo : 1 + hi] /= np.arange(start + lo, start + hi, dtype=float)
         running[1 + (-start) % ell :: ell] = 0.0  # n = 0 mod ell
         np.cumsum(running, out=running)
         carry = float(running[-1])

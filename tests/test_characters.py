@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from charscan.arith import kronecker, sieve_primes
 from charscan.characters import (
     QuadraticCharacter,
+    _live_tables,
+    _shared_value_table,
     bulk_values,
     evaluate,
     legendre_character,
@@ -235,3 +237,16 @@ class TestBulkValues:
             vals = bulk_values(chi, limit)
             for n in range(1, limit + 1):
                 assert vals[n - 1] == evaluate(chi, n)
+
+
+class TestSharedTables:
+    def test_a_held_table_is_shared_and_read_only(self):
+        table = _shared_value_table(19)
+        assert _shared_value_table(19) is table
+        assert not table.flags.writeable
+        assert table.tolist() == [kronecker(a, 19) for a in range(19)]
+
+    def test_no_table_outlives_its_walk(self):
+        for p in (3, 7, 11, 19, 1019):
+            max_partial_sum(legendre_character(p))
+        assert not _live_tables

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from charscan import experiments, sums
+from charscan import characters, experiments, sums
 from charscan.arith import build_spf, is_prime, sieve_primes
 from charscan.characters import evaluate, legendre_character, product_character
 from charscan.experiments import (
@@ -225,6 +225,22 @@ class TestTheoremAPipeline:
         bound = report.q - 1
         with pytest.raises(ValueError, match=f"q = 19\\*{report.ell} = {report.q} exceeds capacity {bound}"):
             theorem_a_pipeline(19, 0.5, 0.1, max_modulus=bound)
+
+    @pytest.mark.parametrize("p", [3, 1019, 1615843])
+    def test_each_legendre_table_is_built_once(self, p, monkeypatch):
+        # The lhs walk mod p*ell and the audit's walk mod p share the table
+        # mod p, whether ell is below p or above it (p = 3).
+        built = []
+        build = characters._legendre_value_table
+
+        def counting(prime):
+            built.append(prime)
+            return build(prime)
+
+        monkeypatch.setattr(characters, "_legendre_value_table", counting)
+        report = theorem_a_pipeline(p, 0.3, 0.1)
+        assert sorted(built) == sorted({p, report.ell})
+        assert not characters._live_tables
 
     def test_serialized_form(self):
         js = theorem_a_pipeline(3, 0.5, 0.5).to_json()

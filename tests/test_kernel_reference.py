@@ -1,7 +1,9 @@
 """The streaming character kernel against the whole-period reference route.
 
 max_partial_sum scans only t <= (q-1)/2, and verify_lemma_bg and burgess_scan
-walk the values in blocks of characters._BLOCK. The references below are the
+walk the values in blocks of characters._BLOCK. Within a block, sums._walk
+sums chunks of sums._CHUNK values first and sums out value by value only the
+chunks whose bound can reach the peak. The references below are the
 whole-array routes they replaced: one value table for all n <= q, one
 np.cumsum over it. Their values come from kronecker, not from square
 marking, so the two routes share no arithmetic. Every comparison is exact,
@@ -19,9 +21,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from charscan import characters, experiments
+from charscan import characters, experiments, sums
 from charscan.arith import kronecker
-from charscan.characters import legendre_character, product_character
+from charscan.characters import bulk_values, legendre_character, product_character
 from charscan.experiments import LemmaBgAudit, burgess_scan, verify_lemma_bg
 from charscan.sums import SumProfile, max_partial_sum, partial_sum
 
@@ -330,3 +332,141 @@ def test_burgess_walk_stops_below_p(monkeypatch):
     limits.clear()
     burgess_scan(1019, [0.25, 0.5])
     assert limits == [math.floor(1019**0.5)]
+
+
+# Chunk widths for the two-pass walk; each is crossed with two block sizes
+# it does not divide (but for 1) and the default 2^20. A block of fewer than
+# chunk**2 values has no coarse pass, so the sizes start at chunk**2 + 1,
+# and the characters below are long enough for chunks of 64.
+CHUNKS = [1, 2, 3, 7, 64]
+LONG_CHARACTERS = [(7, 11, 13, 19), (19, 1019)]
+
+
+def chunk_block_sizes(chunk):
+    square = chunk * chunk
+    return sorted({square + 1, 3 * square + chunk - 1, 1 << 20})
+
+
+def edge_points(limit, block, chunk):
+    """Each chunk edge of each block of a walk to limit, and one either side."""
+    points = set()
+    for start in range(1, limit + 1, block):
+        for edge in range(start - 1, min(start - 1 + block, limit) + 1, chunk):
+            points |= {edge - 1, edge, edge + 1}
+    return sorted(t for t in points if 0 <= t <= limit)
+
+
+@pytest.fixture
+def coarse_passes(monkeypatch):
+    """Counts the blocks whose chunks _block_peak bounded."""
+    bounded = []
+    bounds = sums._chunk_bounds
+
+    def counting(heads):
+        bounded.append(len(heads) - 1)
+        return bounds(heads)
+
+    monkeypatch.setattr(sums, "_chunk_bounds", counting)
+    return bounded
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_chunked_walk_matches_reference(chunk, monkeypatch, coarse_passes):
+    monkeypatch.setattr(sums, "_CHUNK", chunk)
+    for factors in CHARACTERS + LONG_CHARACTERS:
+        chi = character(*factors)
+        q = chi.modulus
+        for size in chunk_block_sizes(chunk):
+            monkeypatch.setattr(characters, "_BLOCK", size)
+            points = sample_points(q) + edge_points((q - 1) // 2, size, chunk)
+            expected = reference_profile(chi, sample_at=points)
+            assert max_partial_sum(chi, sample_at=points) == expected, (factors, size)
+    assert coarse_passes
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_chunked_burgess_scan_matches_reference(chunk, monkeypatch, coarse_passes):
+    # The primes 3 mod 4 of the grid, and 8191 for chunks of 64.
+    thetas = [0.1, 0.25, 0.3, 0.5, 0.75, 0.9, 0.99, 1.0]
+    monkeypatch.setattr(sums, "_CHUNK", chunk)
+    for p in (3, 7, 11, 19, 1019, 8191):
+        cs = np.cumsum(reference_values(legendre_character(p), p), dtype=np.int64)
+        expected = [int(cs[math.floor(p**theta) - 1]) for theta in thetas]
+        for size in chunk_block_sizes(chunk):
+            monkeypatch.setattr(characters, "_BLOCK", size)
+            assert [pt.s for pt in burgess_scan(p, thetas)] == expected, (p, size)
+    assert coarse_passes
+
+
+@pytest.mark.parametrize("p", [127, 241])
+def test_ties_keep_the_first_maximizer(p, monkeypatch, coarse_passes):
+    # |S| reaches its peak 5 times for p = 127 and 7 times for p = 241.
+    chi = legendre_character(p)
+    expected = reference_profile(chi)
+    magnitudes = np.abs(np.cumsum(reference_values(chi, (p - 1) // 2)))
+    assert np.count_nonzero(magnitudes == expected.max_abs) >= 5
+    for chunk in (1, 2):
+        monkeypatch.setattr(sums, "_CHUNK", chunk)
+        for size in [*range(1, 64), 1 << 20]:
+            monkeypatch.setattr(characters, "_BLOCK", size)
+            assert max_partial_sum(chi) == expected, (chunk, size)
+    assert coarse_passes
+
+
+def test_grid_catches_a_chunk_bound_without_the_chunk_width(monkeypatch):
+    # Without + _CHUNK the bound can fall below a peak inside the chunk, and
+    # the chunk holding it is never summed out.
+    expected = {
+        factors: reference_profile(character(*factors))
+        for factors in CHARACTERS + LONG_CHARACTERS
+    }
+
+    def without_width(heads):
+        edges = np.abs(heads)
+        return (edges[:-1] + edges[1:]) // 2
+
+    monkeypatch.setattr(sums, "_chunk_bounds", without_width)
+    differing = []
+    for chunk in CHUNKS:
+        monkeypatch.setattr(sums, "_CHUNK", chunk)
+        for factors, profile in expected.items():
+            for size in chunk_block_sizes(chunk):
+                monkeypatch.setattr(characters, "_BLOCK", size)
+                if max_partial_sum(character(*factors)) != profile:
+                    differing.append((chunk, factors, size))
+    assert differing
+
+
+@pytest.mark.parametrize("p, ell", PAIRS, ids=str)
+def test_lemma_bg_with_small_chunks_matches_reference(p, ell, monkeypatch):
+    # The lhs walk and m_xi both go through the chunked kernel.
+    xi, psi = legendre_character(p), legendre_character(ell)
+    expected = reference_audit(xi, psi)
+    for chunk in CHUNKS:
+        monkeypatch.setattr(sums, "_CHUNK", chunk)
+        for size in (chunk * chunk + 1, 1 << 20):
+            monkeypatch.setattr(characters, "_BLOCK", size)
+            assert verify_lemma_bg(xi, psi) == expected, (chunk, size)
+
+
+@pytest.mark.parametrize("p, ell", PAIRS, ids=str)
+def test_lemma_bg_divides_in_slices_bit_for_bit(p, ell, monkeypatch):
+    # Each block's terms xi(n)/n are divided in slices of sums._SUM_BLOCK.
+    xi, psi = legendre_character(p), legendre_character(ell)
+    expected = reference_audit(xi, psi)
+    for piece in (3, 64):
+        monkeypatch.setattr(sums, "_SUM_BLOCK", piece)
+        for size in (100, 1 << 20):
+            monkeypatch.setattr(characters, "_BLOCK", size)
+            assert verify_lemma_bg(xi, psi) == expected, (piece, size)
+
+
+@pytest.mark.parametrize("p, ell", LARGE_PAIRS[:4], ids=str)
+def test_paste_peaks_match_whole_array_cumsum(p, ell):
+    # S over t <= (q-1)/2 in one int32 cumsum, about 75 MB at q = 3.1*10^7.
+    chi = product_character(legendre_character(p), legendre_character(ell))
+    q = chi.modulus
+    magnitudes = np.abs(np.cumsum(bulk_values(chi, (q - 1) // 2), dtype=np.int32))
+    first = int(np.argmax(magnitudes))
+    expected = SumProfile(modulus=q, max_abs=int(magnitudes[first]), argmax=first + 1)
+    assert max_partial_sum(chi) == expected
