@@ -27,7 +27,16 @@ from .arith import (
     is_prime,
     sieve_primes,
 )
-from .characters import QuadraticCharacter, _value_blocks, evaluate
+from . import characters
+from .characters import (
+    _U32_ROOT,
+    QuadraticCharacter,
+    _square_residues,
+    _squares,
+    _value_blocks,
+    evaluate,
+    legendre_character,
+)
 
 __all__ = [
     "CONSTANTS",
@@ -290,11 +299,15 @@ def _chunk_heads(block: np.ndarray, carry: int) -> np.ndarray:
     the last entry is where the tail of the block begins. A block of fewer
     than _CHUNK**2 values is all tail, with no chunks. On such short walks
     the partial sums rarely clear the chunk bound of _block_peak by much:
-    chunked, a pv-scan to 1.2e5 rescanned every chunk below p = 1e4 and 45%
-    of them at 5e4 < p < 1.2e5, and perfbench's scan workload ran 8-18%
-    slower. The heads are exact int64. Each chunk sum, at most _CHUNK < 2^15
-    in magnitude, is taken in int16, which numpy reduces about twice as fast
-    as int32.
+    measured when pv-scan still walked here, chunking rescanned every chunk
+    below p = 1e4 and 45% of them at 5e4 < p < 1.2e5, and perfbench's scan
+    workload ran 8-18% slower. Prime moduli without sample points go to
+    _legendre_peaks; short blocks here come from composite moduli below
+    2 _CHUNK**2, from walks to requested points (burgess_scan, sample_at),
+    from m_xi in verify_lemma_bg for xi mod m < 2 _CHUNK**2, and from the
+    last block of every walk. The heads are exact int64. Each chunk sum, at
+    most _CHUNK < 2^15 in magnitude, is taken in int16, which numpy reduces
+    about twice as fast as int32.
     """
     n = len(block)
     whole = n // _CHUNK if n >= _CHUNK * _CHUNK else 0
@@ -395,6 +408,51 @@ def _walk(
     return peak, first, found.tolist()
 
 
+def _legendre_peaks(primes: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(peak of |S|, first maximizer) over t <= (p-1)/2 for each odd prime p.
+
+    S is the partial sum of the Legendre symbol mod p, and the primes are
+    taken in order. A prime with (p-1)/2 > characters._BLOCK goes through
+    _walk, so the buffers here stay O(_BLOCK). For the others every buffer
+    is allocated once per call, sized to the largest of them: the squares
+    k*k for k <= max (p-1)/2 (uint32 up to k = _U32_ROOT, plus an intp copy
+    for the primes past it), one intp index buffer, one int8 table and one
+    int32 running sum. The quotients of _square_residues go into the
+    running sum's buffer, viewed as uint32, or into the index buffer for
+    intp squares, since neither is in use then. Per prime, only the
+    table entries n <= (p-1)/2 are reset to -1, since nothing above them is
+    read; the residues k*k mod p (_square_residues, shared with
+    characters._legendre_value_table) are marked 1; and the running sum
+    over n = 1..(p-1)/2 feeds abs and argmax, whose first maximizer keeps
+    ties at the smallest t. The result equals _walk's.
+    """
+    block = characters._BLOCK
+    top = max((h for h in ((p - 1) // 2 for p in primes) if h <= block), default=0)
+    index = np.empty(top, dtype=np.intp)
+    table = np.empty(2 * top + 1, dtype=np.int8)
+    running = np.empty(top, dtype=np.int32)
+    narrow = _squares(min(top, _U32_ROOT))
+    wide = _squares(top) if top > _U32_ROOT else narrow
+    unsigned = running.view(np.uint32)
+    for p in primes:
+        half = (p - 1) // 2
+        if half > block:
+            peak, first, _ = _walk(legendre_character(p), half)
+            yield peak, first
+            continue
+        if half <= _U32_ROOT:
+            squares, quotient = narrow[:half], unsigned[:half]
+        else:
+            squares, quotient = wide[:half], index[:half]
+        residues = _square_residues(squares, p, quotient, index[:half])
+        table[: half + 1] = -1
+        table[residues] = 1
+        s = np.cumsum(table[1 : half + 1], dtype=np.int32, out=running[:half])
+        np.abs(s, out=s)
+        i = int(np.argmax(s))  # argmax returns the first maximizer
+        yield int(s[i]), i + 1
+
+
 def max_partial_sum(
     chi: QuadraticCharacter, sample_at: Sequence[float] | None = None
 ) -> SumProfile:
@@ -403,15 +461,20 @@ def max_partial_sum(
     For a real nonprincipal chi mod q the sum over a period vanishes and
     chi(q-n) = chi(-1) chi(n), so S(q-1-t) = -chi(-1) S(t): |S| is symmetric
     about (q-1)/2 and the peak and its first maximizer lie in t <= (q-1)/2.
-    Ties go to the smallest t. The scan is _walk's: exact chunk sums give S
-    at every edge of a chunk of _CHUNK values, and only the chunks whose
-    bound (|b| + |e| + _CHUNK) // 2 from their edge values b and e reaches
-    the best edge value or the peak so far are summed out value by value.
+    Ties go to the smallest t. A prime modulus with no sample_at goes
+    through _legendre_peaks, which walks it here only when (q-1)/2 >
+    characters._BLOCK. Every other scan is _walk's: exact chunk sums give S at every edge of a chunk
+    of _CHUNK values, and only the chunks whose bound
+    (|b| + |e| + _CHUNK) // 2 from their edge values b and e reaches the
+    best edge value or the peak so far are summed out value by value.
     Optional sample_at records (t, S(t)) pairs; t is reduced mod q, and S
     beyond (q-1)/2 is read through the reflection.
     """
     q = chi.modulus
     half = max((q - 1) // 2, 1)  # q = 1 is the trivial character: one value
+    if sample_at is None and len(chi.factors) == 1:
+        ((peak, first),) = _legendre_peaks((q,))
+        return SumProfile(modulus=q, max_abs=peak, argmax=first)
     reflect = 1 if chi.parity == "odd" else -1  # -chi(-1)
     ts, points, signs = [], [], []
     for t in sample_at or ():

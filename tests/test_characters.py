@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from charscan import sums
 from charscan.arith import kronecker, sieve_primes
 from charscan.characters import (
     QuadraticCharacter,
@@ -249,4 +250,5 @@ class TestSharedTables:
     def test_no_table_outlives_its_walk(self):
         for p in (3, 7, 11, 19, 1019):
             max_partial_sum(legendre_character(p))
+            sums._walk(legendre_character(p), (p - 1) // 2)
         assert not _live_tables

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import charscan
-from charscan import experiments
+from charscan import experiments, sums
 from charscan.characters import legendre_character
 from charscan.cli import _validate, build_parser, main
 from charscan.sums import max_partial_sum, pv_ratios
@@ -68,10 +68,14 @@ class TestPvScan:
         cache = tmp_path / "cache.jsonl"
         main(["pv-scan", "3", "100", "--out", str(cache)])
         for record in read_jsonl(cache):
-            profile = max_partial_sum(legendre_character(record["conductor"]))
+            chi = legendre_character(record["conductor"])
+            profile = max_partial_sum(chi)
             ratios = pv_ratios(profile)
             assert record["max_abs"] == profile.max_abs
             assert record["argmax"] == profile.argmax
+            # pv-scan and max_partial_sum share _legendre_peaks; _walk does not.
+            walked = sums._walk(chi, (chi.modulus - 1) // 2)[:2]
+            assert walked == (profile.max_abs, profile.argmax)
             assert record["ratio_log"] == pytest.approx(
                 ratios["ratio_log"], rel=1e-15
             )

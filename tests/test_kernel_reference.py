@@ -15,14 +15,15 @@ whole-array reference is too large to build, so the reference there is the
 blocked walk over every n <= q that the early stop replaced.
 """
 
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from charscan import characters, experiments, sums
-from charscan.arith import kronecker
+from charscan import characters, cli, experiments, sums
+from charscan.arith import kronecker, sieve_primes
 from charscan.characters import bulk_values, legendre_character, product_character
 from charscan.experiments import LemmaBgAudit, burgess_scan, verify_lemma_bg
 from charscan.sums import SumProfile, max_partial_sum, partial_sum
@@ -148,10 +149,13 @@ def test_max_partial_sum_matches_reference(factors, monkeypatch):
     points = sample_points(chi.modulus)
     expected = reference_profile(chi, sample_at=points)
     assert max_partial_sum(chi, sample_at=points) == expected
+    peak = (expected.max_abs, expected.argmax)
     for size in block_sizes(chi):
         monkeypatch.setattr(characters, "_BLOCK", size)
         assert max_partial_sum(chi, sample_at=points) == expected, size
         assert max_partial_sum(chi) == reference_profile(chi), size
+        # A prime modulus takes _legendre_peaks once (q-1)/2 fits in a block.
+        assert sums._walk(chi, (chi.modulus - 1) // 2)[:2] == peak, size
 
 
 def test_parities_are_covered():
@@ -405,11 +409,15 @@ def test_ties_keep_the_first_maximizer(p, monkeypatch, coarse_passes):
     expected = reference_profile(chi)
     magnitudes = np.abs(np.cumsum(reference_values(chi, (p - 1) // 2)))
     assert np.count_nonzero(magnitudes == expected.max_abs) >= 5
+    peak = (expected.max_abs, expected.argmax)
+    assert next(sums._legendre_peaks([p])) == peak
+    assert list(sums._legendre_peaks([3, p, 5])) == [(1, 1), peak, (1, 1)]
     for chunk in (1, 2):
         monkeypatch.setattr(sums, "_CHUNK", chunk)
         for size in [*range(1, 64), 1 << 20]:
             monkeypatch.setattr(characters, "_BLOCK", size)
             assert max_partial_sum(chi) == expected, (chunk, size)
+            assert sums._walk(chi, (p - 1) // 2)[:2] == peak, (chunk, size)
     assert coarse_passes
 
 
@@ -430,9 +438,11 @@ def test_grid_catches_a_chunk_bound_without_the_chunk_width(monkeypatch):
     for chunk in CHUNKS:
         monkeypatch.setattr(sums, "_CHUNK", chunk)
         for factors, profile in expected.items():
+            half = (profile.modulus - 1) // 2
             for size in chunk_block_sizes(chunk):
                 monkeypatch.setattr(characters, "_BLOCK", size)
-                if max_partial_sum(character(*factors)) != profile:
+                walked = sums._walk(character(*factors), half)[:2]
+                if walked != (profile.max_abs, profile.argmax):
                     differing.append((chunk, factors, size))
     assert differing
 
@@ -470,3 +480,116 @@ def test_paste_peaks_match_whole_array_cumsum(p, ell):
     first = int(np.argmax(magnitudes))
     expected = SumProfile(modulus=q, max_abs=int(magnitudes[first]), argmax=first + 1)
     assert max_partial_sum(chi) == expected
+
+
+# The shared-buffer Legendre kernel of pv-scan and of max_partial_sum at a
+# prime modulus. One call walks every prime through the same buffers, so a
+# value left over from an earlier prime would show as a wrong peak.
+ODD_PRIMES = [int(p) for p in sieve_primes(3000)[1:]]
+# (p-1)/2 = 65535 is the last half whose squares fit in uint32; 131101 is the
+# next prime, so its squares come from the intp copy.
+PAST_THE_SWITCH = [131071, 131101]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
+def test_legendre_peaks_match_reference(order):
+    primes = ODD_PRIMES[::order]
+    assert {p % 4 for p in primes} == {1, 3}
+    expected = [reference_profile(legendre_character(p)) for p in primes]
+    got = [
+        SumProfile(modulus=p, max_abs=peak, argmax=first)
+        for p, (peak, first) in zip(primes, sums._legendre_peaks(primes))
+    ]
+    assert got == expected
+
+
+def test_legendre_peaks_across_the_uint32_switch():
+    expected = [reference_profile(legendre_character(p)) for p in PAST_THE_SWITCH]
+    # The walk's table reduces its squares in slices, the intp ones in place.
+    for p in PAST_THE_SWITCH:
+        table = characters._legendre_value_table(p)
+        assert table.tolist() == [kronecker(a, p) for a in range(p)]
+    for primes in (PAST_THE_SWITCH, PAST_THE_SWITCH[::-1], [3, *PAST_THE_SWITCH]):
+        got = dict(zip(primes, sums._legendre_peaks(primes)))
+        assert [got[p] for p in PAST_THE_SWITCH] == [
+            (e.max_abs, e.argmax) for e in expected
+        ]
+
+
+@pytest.mark.parametrize("half", [characters._U32_ROOT, characters._U32_ROOT + 1])
+def test_square_residues_at_the_uint32_switch(half):
+    # Any odd modulus m = 2 half + 1 (131073 = 3 * 43691 is composite): the
+    # residue routine must be exact for every k <= half on both dtypes.
+    squares = characters._squares(half)
+    assert squares.dtype == (np.uint32 if half * half < 2**32 else np.intp)
+    m = 2 * half + 1
+    out = np.empty(half, dtype=np.intp)
+    characters._square_residues(squares, m, np.empty_like(squares), out)
+    k = np.arange(1, half + 1, dtype=object)
+    assert out.tolist() == (k * k % m).tolist()
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The moduli sums._walk is called with."""
+    moduli = []
+    walk = sums._walk
+
+    def counting(chi, limit, points=()):
+        moduli.append(chi.modulus)
+        return walk(chi, limit, points)
+
+    monkeypatch.setattr(sums, "_walk", counting)
+    return moduli
+
+
+def test_kernel_selection_follows_the_block(monkeypatch, walked):
+    # With _BLOCK = 505, (1009-1)/2 = 504 takes the shared buffers and
+    # (1013-1)/2 = 506 takes _walk, in max_partial_sum and in pv-scan, and
+    # both give the reference peak.
+    monkeypatch.setattr(characters, "_BLOCK", 505)
+    for p in (1009, 1019):
+        assert max_partial_sum(legendre_character(p)) == reference_profile(
+            legendre_character(p)
+        )
+    assert walked == [1019]
+    walked.clear()
+    primes = [3, 1009, 1013, 1019, 5]
+    records = cli._scan_records(primes)
+    assert walked == [1013, 1019]
+    assert [r["conductor"] for r in records] == primes
+    for record in records:
+        expected = reference_profile(legendre_character(record["conductor"]))
+        assert (record["max_abs"], record["argmax"]) == (
+            expected.max_abs,
+            expected.argmax,
+        )
+    assert list(sums._legendre_peaks([])) == []
+
+
+def test_sample_points_and_composites_stay_on_the_walk(walked):
+    max_partial_sum(legendre_character(1019), sample_at=[3.0])
+    max_partial_sum(character(3, 7))
+    max_partial_sum(legendre_character(1019))
+    assert walked == [1019, 21]
+
+
+def test_pv_scan_workers_agree_with_serial(tmp_path, capsys):
+    # The primes 3 (mod 4) in [2000, 6010] are odd in number, so 2 workers
+    # get interleaved slices of unequal length.
+    rows = {}
+    for workers in ("1", "2"):
+        cache = tmp_path / f"cache{workers}.jsonl"
+        argv = ["pv-scan", "2000", "6010", "--out", str(cache), "--workers", workers]
+        assert cli.main(argv) == 0
+        rows[workers] = [
+            {k: v for k, v in row.items() if k != "timestamp"}
+            for row in json.loads(capsys.readouterr().out)
+        ]
+    conductors = [int(p) for p in sieve_primes(6010) if p >= 2000 and p % 4 == 3]
+    assert [row["conductor"] for row in rows["1"]] == conductors
+    assert len(conductors) % 2 == 1
+    assert rows["2"] == rows["1"]
+    for row in rows["1"][::40]:
+        expected = reference_profile(legendre_character(row["conductor"]))
+        assert (row["max_abs"], row["argmax"]) == (expected.max_abs, expected.argmax)
