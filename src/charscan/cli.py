@@ -6,6 +6,9 @@ keeps an append-only JSON-lines cache, one record per line, guarded by a
 lock file against concurrent runs; reruns skip cached conductors unless
 --force, which recomputes and rewrites the file atomically. Rows are
 emitted as JSON or CSV with fixed column orders; summaries go to stderr.
+Where counterexample rows span more than one chunk and a second CPU is
+available, a forked helper formats every other chunk into a pipe that this
+process copies out in order, so the bytes are those of the one-process route.
 For pv-scan, --out names the cache file, so its rows always go to stdout;
 thm-a instead writes its report file and prints the chain audit.
 
@@ -19,14 +22,17 @@ before building the table). All but thm-a, which always writes JSON, take
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
+import signal
 import sys
 import time
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -207,36 +213,103 @@ def _emit(rows: list[dict], columns: list[str], args: argparse.Namespace) -> Non
     _write([_render(rows, columns, args.format)], args)
 
 
-def _hit_chunks(hits: CounterexampleHits, fmt: str) -> Iterator[str]:
-    """The text _render would give for the hits' rows, _HIT_CHUNK rows at a time.
+def _hit_format(
+    hits: CounterexampleHits, fmt: str
+) -> tuple[str, Callable[[int], str], int, str]:
+    """The text _render would give for the hits' rows, in _HIT_CHUNK-row chunks.
 
-    Each row is one %-format of column values: %d for N, and %r for the
-    floats, which prints the repr that json.dumps and csv both write.
+    Returns (opening, chunk, count, closing): the text is the opening, then
+    chunk(0), ..., chunk(count - 1), then the closing. Each row is one
+    %-format of column values: %d for N, and %r for the floats, which prints
+    the repr that json.dumps and csv both write.
     """
+    count = -(-len(hits) // _HIT_CHUNK)
     if fmt == "csv":
         heads = [";".join(str(p) for p in subset) for subset in hits.subsets]
         template, sep, opening, closing = _CSV_HIT, "", _CSV_HEADER, ""
-    elif len(hits):
+    else:
         heads = [
             json.dumps(list(subset), indent=2).replace("\n", "\n    ")
             for subset in hits.subsets
         ]
-        template, sep, opening, closing = _JSON_HIT, ",\n", "[\n", "\n]\n"
-    else:
-        yield "[]\n"
-        return
-    yield opening
-    for start in range(0, len(hits), _HIT_CHUNK):
-        chunk = hits[start : start + _HIT_CHUNK]
+        template, sep = _JSON_HIT, ",\n"
+        opening, closing = ("[\n", "\n]\n") if count else ("[]\n", "")
+
+    def chunk(i: int) -> str:
+        start = i * _HIT_CHUNK
+        part = hits[start : start + _HIT_CHUNK]
         rows = zip(
-            [heads[s] for s in chunk.subset.tolist()],
-            chunk.N.tolist(),
-            chunk.mean_at_N.tolist(),
-            chunk.log_mean_at_N.tolist(),
-            chunk.ratio.tolist(),
+            [heads[s] for s in part.subset.tolist()],
+            part.N.tolist(),
+            part.mean_at_N.tolist(),
+            part.log_mean_at_N.tolist(),
+            part.ratio.tolist(),
         )
-        yield (sep if start else "") + sep.join(map(template.__mod__, rows))
-    yield closing
+        return (sep if start else "") + sep.join(map(template.__mod__, rows))
+
+    return opening, chunk, count, closing
+
+
+def _spare_cpu() -> bool:
+    """True where this process may fork and run on more than one CPU."""
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) > 1
+    )
+
+
+def _received(pipe: io.BufferedReader) -> str:
+    """The next length-prefixed chunk the formatting helper wrote to pipe."""
+    head = pipe.read(8)
+    if len(head) == 8:
+        size = int.from_bytes(head, "little")
+        data = pipe.read(size)
+        if len(data) == size:
+            return data.decode()
+    raise OSError("row formatting helper ended before its last chunk")
+
+
+@contextlib.contextmanager
+def _chunk_texts(chunk: Callable[[int], str], count: int) -> Iterator[Iterator[str]]:
+    """Yield an iterator over chunk(0), ..., chunk(count - 1), in order.
+
+    With more than one chunk and a spare CPU, a forked helper formats the
+    odd-numbered chunks and writes each, length-prefixed, to a pipe; this
+    process formats the even ones and reads the helper's between them. The
+    helper blocks on the pipe until its chunk is read, so each side holds at
+    most a chunk or two. It writes nowhere else and leaves through os._exit,
+    so it never flushes an inherited buffer or runs exit hooks. On leaving,
+    the helper is reaped, and killed first if the caller failed.
+    """
+    if count < 2 or not _spare_cpu():
+        yield map(chunk, range(count))
+        return
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                for i in range(1, count, 2):
+                    data = chunk(i).encode()
+                    pipe.write(len(data).to_bytes(8, "little"))
+                    pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            yield (chunk(i) if i % 2 == 0 else _received(pipe) for i in range(count))
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
 
 
 def _make_function(
@@ -451,7 +524,9 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     m = math.floor(args.x_max)
     _capacity(m, args)
     hits = counterexample_search(args.x_max, args.flip_budget, args.threshold)
-    _write(_hit_chunks(hits, args.format), args)
+    opening, chunk, count, closing = _hit_format(hits, args.format)
+    with _chunk_texts(chunk, count) as texts:
+        _write(itertools.chain([opening], texts, [closing]), args)
     print(f"counterexample: {len(hits)} hits", file=sys.stderr)
     return 0
 

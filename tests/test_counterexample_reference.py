@@ -12,7 +12,11 @@ import io
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +119,32 @@ def run_cli(argv, tmp_path, capsys, fmt, to_file):
     return text, captured.err
 
 
+def set_cpus(monkeypatch, cpus):
+    """Make the CLI see this many CPUs available to the process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def count_forks(monkeypatch):
+    """The pids of the helpers forked from now on, as seen by the parent."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_no_child_left():
+    """Every process this one started has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def argv_of(x_max, flip_budget, threshold):
     return [
         "--x-max", str(x_max),
@@ -164,14 +194,22 @@ class TestChunks:
     def test_every_chunk_size_gives_the_same_bytes(
         self, fmt, to_file, tmp_path, capsys, monkeypatch
     ):
+        # Both routes at every chunk size: one CPU formats every chunk in
+        # this process, two fork the helper whenever there are two chunks.
         expected = reference_records(*self.ARGS)
         text = reference_text(expected, fmt)
         n = len(expected)
         divisor = next(d for d in range(2, n) if n % d == 0)
-        for chunk in (1, 7, divisor, n // divisor, n, 2 * n, n + 1):
-            monkeypatch.setattr(cli, "_HIT_CHUNK", chunk)
-            got, _ = run_cli(argv_of(*self.ARGS), tmp_path, capsys, fmt, to_file)
-            assert_same_text(got, text, chunk)
+        forks = count_forks(monkeypatch)
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            for chunk in (1, 7, divisor, n // divisor, n, 2 * n, n + 1):
+                monkeypatch.setattr(cli, "_HIT_CHUNK", chunk)
+                forks.clear()
+                got, _ = run_cli(argv_of(*self.ARGS), tmp_path, capsys, fmt, to_file)
+                assert_same_text(got, text, (cpus, chunk))
+                assert len(forks) == (cpus > 1 and chunk < n)
+                assert_no_child_left()
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_no_hits(self, fmt, tmp_path, capsys, monkeypatch):
@@ -180,6 +218,107 @@ class TestChunks:
         assert got == reference_text([], fmt)
         assert got == ("[]\n" if fmt == "json" else ",".join(COLUMNS) + "\n")
         assert err == "counterexample: 0 hits\n"
+
+
+# `python -m charscan`, told that two CPUs are available; the parent notes
+# each fork on stderr, so the test sees that the helper route ran. A line
+# is left in the stdout buffer first: a helper that flushed its copy of the
+# buffer would print it twice.
+TWO_CPU_MODULE_RUN = """
+import os, runpy, sys
+sys.stdout.write("buffered before the fork\\n")
+os.sched_getaffinity = lambda pid: {0, 1}
+real_fork = os.fork
+def fork():
+    pid = real_fork()
+    if pid:
+        print("forked", file=sys.stderr)
+    return pid
+os.fork = fork
+runpy.run_module("charscan", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper needs os.fork")
+class TestHelper:
+    """The forked formatting helper: real stdout, failures, no process left."""
+
+    ARGV = ["counterexample", "--x-max", "1000"]
+    HITS = 32463  # two chunks of the default size
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_real_stdout_matches_one_process_route(self, fmt, capsys, monkeypatch):
+        # capsys replaces sys.stdout, so it cannot see a helper that flushes
+        # an inherited stdout buffer; a real pipe as fd 1 can.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.pop("PYTHONUNBUFFERED", None)  # keep stdout block-buffered
+        argv = [*self.ARGV, "--format", fmt]
+        proc = subprocess.run(
+            [sys.executable, "-c", TWO_CPU_MODULE_RUN, *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == f"forked\ncounterexample: {self.HITS} hits\n".encode()
+        set_cpus(monkeypatch, 1)
+        forks = count_forks(monkeypatch)
+        assert main(argv) == 0
+        assert forks == []
+        expected = "buffered before the fork\n" + capsys.readouterr().out
+        assert proc.stdout == expected.encode()
+        assert_no_child_left()
+
+    def test_helper_failure_exits_4(self, tmp_path, capsys, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(cli, "_HIT_CHUNK", 7)
+        parent = os.getpid()
+        real_format = cli._hit_format
+
+        def failing_format(hits, fmt):
+            opening, chunk, count, closing = real_format(hits, fmt)
+
+            def chunk_or_fail(i):
+                if i == 5 and os.getpid() != parent:
+                    raise RuntimeError("helper fails")
+                return chunk(i)
+
+            return opening, chunk_or_fail, count, closing
+
+        monkeypatch.setattr(cli, "_hit_format", failing_format)
+        out = tmp_path / "hits.json"
+        argv = ["counterexample", *argv_of(*TestChunks.ARGS), "--out", str(out)]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("io error: ")
+        assert "helper" in captured.err
+        assert_no_child_left()
+
+    def test_parent_write_failure_kills_and_reaps_helper(self, capsys, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        kills = []
+        real_kill = os.kill
+
+        def kill(pid, sig):
+            kills.append((pid, sig))
+            real_kill(pid, sig)
+
+        monkeypatch.setattr(os, "kill", kill)
+
+        def failing_write(chunks, args):
+            texts = iter(chunks)
+            next(texts)  # the opening
+            next(texts)  # chunk 0; the helper is now writing chunk 1
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli, "_write", failing_write)
+        assert main(self.ARGV) == 4
+        assert capsys.readouterr().err == "io error: no space left on device\n"
+        assert len(forks) == 1
+        assert kills == [(forks[0], signal.SIGKILL)]
+        assert_no_child_left()
 
 
 class TestSequence:
