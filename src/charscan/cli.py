@@ -128,31 +128,43 @@ class _CacheLock:
             pass
 
 
+def _is_ratio(value) -> bool:
+    """True for a number that is a finite float, as the stderr summary needs.
+
+    json reads NaN, Infinity and 1e400 as non-finite floats, and integers
+    of any size as int.
+    """
+    if type(value) is int:
+        return abs(value) <= sys.float_info.max
+    return type(value) is float and math.isfinite(value)
+
+
 def _is_scan_record(record) -> bool:
-    """True for a dict holding every field pv-scan reads, with usable types."""
+    """True for a dict holding every field pv-scan reads, with usable values."""
     return (
         isinstance(record, dict)
         and type(record.get("conductor")) is int
         and isinstance(record.get("family"), str)
         and type(record.get("max_abs")) is int
         and type(record.get("argmax")) is int
-        and type(record.get("ratio_log")) in (int, float)
-        and type(record.get("ratio_loglog", 0.0)) in (int, float)
+        and _is_ratio(record.get("ratio_log"))
+        and _is_ratio(record.get("ratio_loglog", 0.0))
     )
 
 
 def _load_cache(cache: Path) -> list[dict]:
+    """Scan records of the cache; other lines, UTF-8 or not, draw a warning."""
     if not cache.exists():
         return []
     records = []
-    with cache.open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+    with cache.open("rb") as fh:
+        for raw in fh:
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 record = json.loads(line)
-            except json.JSONDecodeError:
+            except (UnicodeDecodeError, json.JSONDecodeError):
                 record = None
             if _is_scan_record(record):
                 records.append(record)

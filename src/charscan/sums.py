@@ -73,6 +73,10 @@ _UNIT_ROUNDOFF = 2.0**-53
 # values: chunk sums first, then a full rescan of the chunks that can hold
 # the peak.
 _CHUNK = 256
+# _legendre_peaks packs its primes into batches of this many values, which
+# _batch_peaks sums in chunks of _BATCH_CHUNK values.
+_BATCH = 1 << 20
+_BATCH_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -302,12 +306,14 @@ def _chunk_heads(block: np.ndarray, carry: int) -> np.ndarray:
     measured when pv-scan still walked here, chunking rescanned every chunk
     below p = 1e4 and 45% of them at 5e4 < p < 1.2e5, and perfbench's scan
     workload ran 8-18% slower. Prime moduli without sample points go to
-    _legendre_peaks; short blocks here come from composite moduli below
-    2 _CHUNK**2, from walks to requested points (burgess_scan, sample_at),
-    from m_xi in verify_lemma_bg for xi mod m < 2 _CHUNK**2, and from the
-    last block of every walk. The heads are exact int64. Each chunk sum, at
-    most _CHUNK < 2^15 in magnitude, is taken in int16, which numpy reduces
-    about twice as fast as int32.
+    _legendre_peaks, which pays its own chunk pass once per batch of many
+    primes, not once per prime. Short blocks here come from composite
+    moduli below 2 _CHUNK**2, from walks to requested points (burgess_scan,
+    sample_at), from the piece up to (p-1)/2 of xi's block that
+    verify_lemma_bg walks for m_xi (all of xi's walk when p < 2 _CHUNK**2),
+    and from the last block of every walk. The heads are exact int64. Each
+    chunk sum, at most _CHUNK < 2^15 in magnitude, is taken in int16, which
+    numpy reduces about twice as fast as int32.
     """
     n = len(block)
     whole = n // _CHUNK if n >= _CHUNK * _CHUNK else 0
@@ -320,14 +326,13 @@ def _chunk_heads(block: np.ndarray, carry: int) -> np.ndarray:
     return heads
 
 
-def _chunk_bounds(heads: np.ndarray) -> np.ndarray:
-    """Upper bound on |S| inside each whole chunk, from S at its two edges.
+def _chunk_bounds(begins: np.ndarray, ends: np.ndarray, width: int) -> np.ndarray:
+    """Upper bound on |S| inside each chunk of width values, from |S| at its edges.
 
     A chunk from S = b to S = e has every value within j steps of b and
-    _CHUNK - j steps of e, so 2|S| <= |b| + |e| + _CHUNK.
+    width - j steps of e, so 2|S| <= |b| + |e| + width.
     """
-    edges = np.abs(heads)
-    return (edges[:-1] + edges[1:] + _CHUNK) // 2
+    return (begins + ends + width) // 2
 
 
 def _block_peak(
@@ -346,8 +351,10 @@ def _block_peak(
     cut = whole * _CHUNK
     peak, first, end = -1, 0, int(heads[-1])
     if whole:
-        level = max(floor, int(np.abs(heads[1:]).max()))
-        chunks = np.flatnonzero(_chunk_bounds(heads) >= level)
+        edges = np.abs(heads)
+        level = max(floor, int(edges[1:].max()))
+        bounds = _chunk_bounds(edges[:-1], edges[1:], _CHUNK)
+        chunks = np.flatnonzero(bounds >= level)
         if len(chunks):
             rows = block[:cut].reshape(whole, _CHUNK)[chunks]
             running = np.cumsum(rows, axis=1, dtype=dtype)
@@ -408,49 +415,95 @@ def _walk(
     return peak, first, found.tolist()
 
 
+def _batch_peaks(
+    values: np.ndarray, halves: Sequence[int], fill: int
+) -> tuple[list[int], list[int], list[int]]:
+    """Peak of |S|, its first maximizer and S((p-1)/2) for each segment of a batch.
+
+    values[1 : fill + 1] holds the segments of _legendre_peaks back to back,
+    each zero-padded to whole chunks of _BATCH_CHUNK values. Chunk sums and
+    one cumsum give S at every chunk edge, restarted at 0 per segment. Only
+    the chunks whose _chunk_bounds reach their segment's largest |S| at an
+    edge are summed out value by value; the chunk ending at that edge is
+    one, and so is any chunk holding a larger |S|. The padding keeps S at
+    S(halves[k]), so the first maximizer is at most halves[k].
+    """
+    width = _BATCH_CHUNK
+    count = len(halves)
+    lengths = -(-np.array(halves, dtype=np.intp) // width)
+    starts = np.cumsum(lengths) - lengths
+    owner = np.repeat(np.arange(count), lengths)
+    body = values[1 : fill + 1].reshape(-1, width)
+    sums = body.sum(axis=1, dtype=np.int16)  # |sum| <= width < 2^15
+    ends = np.cumsum(sums, dtype=np.int32)  # S at each chunk's last edge
+    ends -= (ends[starts] - sums[starts])[owner]  # restart each segment at 0
+    begins = ends - sums
+    tops = np.abs(ends)
+    level = np.maximum.reduceat(tops, starts)
+    bounds = _chunk_bounds(np.abs(begins), tops, width)
+    chunks = np.flatnonzero(bounds >= level[owner])
+    rows = np.cumsum(body[chunks], axis=1, dtype=np.int32)
+    rows += begins[chunks, None]
+    np.abs(rows, out=rows)
+    row_peaks = rows.max(axis=1)
+    segment = owner[chunks]
+    peaks = np.maximum.reduceat(row_peaks, np.searchsorted(chunks, starts))
+    hits = np.flatnonzero(row_peaks == peaks[segment])
+    firsts = hits[np.searchsorted(segment[hits], np.arange(count))]
+    cols = np.argmax(rows[firsts] == peaks[:, None], axis=1)
+    maximizers = (chunks[firsts] - starts) * width + cols + 1
+    return peaks.tolist(), maximizers.tolist(), ends[starts + lengths - 1].tolist()
+
+
 def _legendre_peaks(primes: Sequence[int]) -> Iterator[tuple[int, int]]:
     """(peak of |S|, first maximizer) over t <= (p-1)/2 for each odd prime p.
 
     S is the partial sum of the Legendre symbol mod p, and the primes are
     taken in order. A prime with (p-1)/2 > characters._BLOCK goes through
-    _walk, so the buffers here stay O(_BLOCK). For the others every buffer
-    is allocated once per call, sized to the largest of them: the squares
-    k*k for k <= max (p-1)/2 (uint32 up to k = _U32_ROOT, plus an intp copy
-    for the primes past it), one intp index buffer, one int8 table and one
-    int32 running sum. The quotients of _square_residues go into the
-    running sum's buffer, viewed as uint32, or into the index buffer for
-    intp squares, since neither is in use then. Per prime, only the
-    table entries n <= (p-1)/2 are reset to -1, since nothing above them is
-    read; the residues k*k mod p (_square_residues, shared with
-    characters._legendre_value_table) are marked 1; and the running sum
-    over n = 1..(p-1)/2 feeds abs and argmax, whose first maximizer keeps
-    ties at the smallest t. The result equals _walk's.
+    _walk. The others are packed in order into an int8 buffer of _BATCH
+    values (or of one segment, if longer) that _batch_peaks reads when
+    full, so memory stays O(_BATCH + _BLOCK). Per prime, the segment is set
+    to -1 for n <= (p-1)/2, its residues k*k mod p (_square_residues) to 1,
+    and then its padding to 0. Residues above (p-1)/2 land in that padding
+    or past it, where the next segment's reset overwrites them or nothing
+    reads them. The squares (uint32 up to k = _U32_ROOT, plus an intp copy
+    past it), the intp index and the uint32 quotients are allocated once
+    per call; intp quotients go into the index buffer. The result equals
+    _walk's.
     """
-    block = characters._BLOCK
+    block, width = characters._BLOCK, _BATCH_CHUNK
     top = max((h for h in ((p - 1) // 2 for p in primes) if h <= block), default=0)
+    capacity = max(_BATCH, -(-top // width) * width)
+    values = np.empty(capacity + top + 1, dtype=np.int8)
     index = np.empty(top, dtype=np.intp)
-    table = np.empty(2 * top + 1, dtype=np.int8)
-    running = np.empty(top, dtype=np.int32)
     narrow = _squares(min(top, _U32_ROOT))
+    quotient = np.empty(len(narrow), dtype=np.uint32)
     wide = _squares(top) if top > _U32_ROOT else narrow
-    unsigned = running.view(np.uint32)
+    halves: list[int] = []
+    fill = 0
     for p in primes:
         half = (p - 1) // 2
+        length = -(-half // width) * width
+        if halves and (half > block or fill + length > _BATCH):
+            yield from zip(*_batch_peaks(values, halves, fill)[:2])
+            halves, fill = [], 0
         if half > block:
             peak, first, _ = _walk(legendre_character(p), half)
             yield peak, first
             continue
         if half <= _U32_ROOT:
-            squares, quotient = narrow[:half], unsigned[:half]
+            squares, scratch = narrow[:half], quotient[:half]
         else:
-            squares, quotient = wide[:half], index[:half]
-        residues = _square_residues(squares, p, quotient, index[:half])
-        table[: half + 1] = -1
+            squares, scratch = wide[:half], index[:half]
+        residues = _square_residues(squares, p, scratch, index[:half])
+        table = values[fill:]  # table[n] holds chi(n)
+        table[1 : half + 1] = -1
         table[residues] = 1
-        s = np.cumsum(table[1 : half + 1], dtype=np.int32, out=running[:half])
-        np.abs(s, out=s)
-        i = int(np.argmax(s))  # argmax returns the first maximizer
-        yield int(s[i]), i + 1
+        table[half + 1 : length + 1] = 0
+        halves.append(half)
+        fill += length
+    if halves:
+        yield from zip(*_batch_peaks(values, halves, fill)[:2])
 
 
 def max_partial_sum(
@@ -463,10 +516,11 @@ def max_partial_sum(
     about (q-1)/2 and the peak and its first maximizer lie in t <= (q-1)/2.
     Ties go to the smallest t. A prime modulus with no sample_at goes
     through _legendre_peaks, which walks it here only when (q-1)/2 >
-    characters._BLOCK. Every other scan is _walk's: exact chunk sums give S at every edge of a chunk
-    of _CHUNK values, and only the chunks whose bound
-    (|b| + |e| + _CHUNK) // 2 from their edge values b and e reaches the
-    best edge value or the peak so far are summed out value by value.
+    characters._BLOCK. Every other scan is _walk's. There, exact chunk sums
+    give S at every edge of a chunk of _CHUNK values, and only the chunks
+    whose bound (|b| + |e| + _CHUNK) // 2 from their edge values b and e
+    reaches the best edge value or the peak so far are summed out value by
+    value.
     Optional sample_at records (t, S(t)) pairs; t is reduced mod q, and S
     beyond (q-1)/2 is read through the reflection.
     """

@@ -228,6 +228,40 @@ class TestPvScan:
         assert [r["conductor"] for r in read_jsonl(cache)] == [3, 7]
         assert not (tmp_path / "cache.jsonl.tmp").exists()
 
+    def test_non_utf8_cache_line_is_skipped(self, tmp_path, capsys):
+        cache = tmp_path / "cache.jsonl"
+        assert main(["pv-scan", "3", "50", "--out", str(cache)]) == 0
+        with cache.open("ab") as fh:
+            fh.write(b"\xff\xfe garbage\n")
+        capsys.readouterr()
+        assert main(["pv-scan", "3", "60", "--out", str(cache)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("skipping malformed cache line") == 1
+        assert "1 new, 8 cached" in captured.err
+        assert [r["conductor"] for r in json.loads(captured.out)] == [
+            3, 7, 11, 19, 23, 31, 43, 47, 59,
+        ]
+
+    @pytest.mark.parametrize("field", ["ratio_log", "ratio_loglog"])
+    @pytest.mark.parametrize(
+        "value",
+        ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "1e400", "int-1e400"],
+    )
+    def test_non_finite_cached_ratios_are_skipped(self, field, value, tmp_path, capsys):
+        cache = tmp_path / "cache.jsonl"
+        assert main(["pv-scan", "19", "19", "--out", str(cache)]) == 0
+        (record,) = read_jsonl(cache)
+        text = json.dumps(record).replace(json.dumps(record[field]), value)
+        assert json.loads(text)[field] != record[field]
+        cache.write_text(text + "\n")
+        capsys.readouterr()
+        assert main(["pv-scan", "19", "19", "--out", str(cache)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("skipping malformed cache line") == 1
+        assert "1 new, 0 cached" in captured.err
+        assert strip_timestamps(json.loads(captured.out)) == strip_timestamps([record])
+
     def test_capacity_guard(self, tmp_path, capsys):
         cache = tmp_path / "cache.jsonl"
         code = main(["pv-scan", "3", "100", "--out", str(cache), "--limit", "50"])

@@ -15,6 +15,7 @@ whole-array reference is too large to build, so the reference there is the
 blocked walk over every n <= q that the early stop replaced.
 """
 
+import functools
 import json
 import math
 import tracemalloc
@@ -27,6 +28,7 @@ from charscan.arith import kronecker, sieve_primes
 from charscan.characters import bulk_values, legendre_character, product_character
 from charscan.experiments import LemmaBgAudit, burgess_scan, verify_lemma_bg
 from charscan.sums import SumProfile, max_partial_sum, partial_sum
+from test_characters import class_numbers
 
 
 def reference_values(chi, limit):
@@ -362,15 +364,16 @@ def edge_points(limit, block, chunk):
 
 @pytest.fixture
 def coarse_passes(monkeypatch):
-    """Counts the blocks whose chunks _block_peak bounded."""
+    """Counts the blocks of sums._walk whose chunks _block_peak bounded."""
     bounded = []
-    bounds = sums._chunk_bounds
+    block_peak = sums._block_peak
 
-    def counting(heads):
-        bounded.append(len(heads) - 1)
-        return bounds(heads)
+    def counting(block, heads, floor, dtype):
+        if len(heads) > 1:
+            bounded.append(len(heads) - 1)
+        return block_peak(block, heads, floor, dtype)
 
-    monkeypatch.setattr(sums, "_chunk_bounds", counting)
+    monkeypatch.setattr(sums, "_block_peak", counting)
     return bounded
 
 
@@ -429,9 +432,8 @@ def test_grid_catches_a_chunk_bound_without_the_chunk_width(monkeypatch):
         for factors in CHARACTERS + LONG_CHARACTERS
     }
 
-    def without_width(heads):
-        edges = np.abs(heads)
-        return (edges[:-1] + edges[1:]) // 2
+    def without_width(begins, ends, width):
+        return (begins + ends) // 2
 
     monkeypatch.setattr(sums, "_chunk_bounds", without_width)
     differing = []
@@ -527,6 +529,85 @@ def test_square_residues_at_the_uint32_switch(half):
     characters._square_residues(squares, m, np.empty_like(squares), out)
     k = np.arange(1, half + 1, dtype=object)
     assert out.tolist() == (k * k % m).tolist()
+
+
+# The batches of _legendre_peaks: one chunk, two chunks, 1000 values (not a
+# whole number of chunks for widths above 1) and the default, crossed with
+# chunk widths that divide few halves. At the small sizes nearly every
+# segment sits alone in its batch or at a batch's edge.
+BATCH_CHUNKS = [1, 2, 3, 7, 64]
+DEFAULT_BATCH = sums._BATCH
+# Under _BLOCK = 505, 1013 and 1019 are walked between batches.
+BATCH_LISTS = {
+    "ascending": ODD_PRIMES,
+    "descending": ODD_PRIMES[::-1],
+    "ties": [3, 127, 5, 241, 7],
+    "walked": [3, 1009, 1013, 5, 7, 1019, 11, 1009],
+}
+
+
+def batch_sizes(width):
+    return [width, 2 * width, 1000, DEFAULT_BATCH]
+
+
+@functools.cache
+def reference_peak(p):
+    profile = reference_profile(legendre_character(p))
+    return profile.max_abs, profile.argmax
+
+
+@pytest.mark.parametrize("width", BATCH_CHUNKS)
+def test_batch_grid_matches_reference(width, monkeypatch, walked):
+    monkeypatch.setattr(sums, "_BATCH_CHUNK", width)
+    for size in batch_sizes(width):
+        monkeypatch.setattr(sums, "_BATCH", size)
+        for name, primes in BATCH_LISTS.items():
+            with monkeypatch.context() as patch:
+                if name == "walked":
+                    patch.setattr(characters, "_BLOCK", 505)
+                got = list(sums._legendre_peaks(primes))
+            assert got == [reference_peak(p) for p in primes], (size, name)
+    assert walked == [1013, 1019] * len(batch_sizes(width))
+
+
+@pytest.mark.parametrize(
+    "size", [DEFAULT_BATCH, sums._BATCH_CHUNK], ids=["default", "one-chunk"]
+)
+def test_segment_ends_are_class_number_multiples(size, monkeypatch):
+    # Dirichlet: for p = 3 (mod 4), p > 3, S((p-1)/2) = (2 - (2/p)) h(-p).
+    # Each segment's sums end there, whatever its padding and its batch.
+    primes = [int(p) for p in sieve_primes(100_000) if p > 3 and p % 4 == 3]
+    h = class_numbers(100_000)
+    ends = []
+    batch_peaks = sums._batch_peaks
+
+    def recording(values, halves, fill):
+        peaks = batch_peaks(values, halves, fill)
+        ends.extend(peaks[2])
+        return peaks
+
+    monkeypatch.setattr(sums, "_batch_peaks", recording)
+    monkeypatch.setattr(sums, "_BATCH", size)
+    assert len(list(sums._legendre_peaks(primes))) == len(ends) == 4807
+    assert ends == [(2 - kronecker(2, p)) * int(h[p]) for p in primes]
+
+
+def test_batch_memory_is_flat_in_the_number_of_primes():
+    # One call holds the batch, its per-chunk arrays and the buffers sized
+    # to the largest half, whatever the number of primes.
+    primes = [int(p) for p in sieve_primes(100_000)[-5000:]]
+    bound = 4 * (sums._BATCH + (primes[-1] - 1) // 2)
+    peaks = {}
+    for count in (1000, 5000):
+        tracemalloc.start()
+        try:
+            for _ in sums._legendre_peaks(primes[-count:]):
+                pass
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[5000] < bound, peaks
+    assert peaks[5000] < 1.25 * peaks[1000], peaks
 
 
 @pytest.fixture
