@@ -560,42 +560,64 @@ def counterexample_search(
         for k in range(min(flip_budget, len(pool)) + 1)
         for subset in combinations(pool, k)
     )
-    ids, big_ns, means, log_means = [], [], [], []
-    for s, subset in enumerate(subsets):
-        v = lam.astype(np.int64)
-        for p in subset:
-            power = p
-            while power <= m:
-                v[power - 1 :: power] *= -1
-                power *= p
-        cs = np.cumsum(v)
-        running = np.cumsum(v / ns)
-        means_at = cs[1:] / ns[1:]
-        log_means_at = running[1:] / logs
-        hit = (
-            (cs[1:] != 0)
-            & (np.abs(log_means_at) < threshold * np.abs(means_at))
-            & (np.abs(log_means_at) < np.abs(means_at))
-        )
-        idx = np.flatnonzero(hit)
-        ids.append(np.full(len(idx), s, dtype=np.int64))
-        big_ns.append(idx + 2)
-        means.append(means_at[idx])
-        log_means.append(log_means_at[idx])
-    subset_col = np.concatenate(ids)
-    n_col = np.concatenate(big_ns)
-    mean_col = np.concatenate(means)
-    log_mean_col = np.concatenate(log_means)
-    ratio = np.abs(log_mean_col) / np.abs(mean_col)
-    order = np.lexsort((subset_col, n_col, ratio))
-    return CounterexampleHits(
-        subsets,
-        subset_col[order],
-        n_col[order],
-        mean_col[order],
-        log_mean_col[order],
-        ratio[order],
+    # Each column frees its parts as it is joined, and the sort replaces one
+    # column at a time. The ratio key is recomputed after the sort, bit for
+    # bit, so the reorder holds four columns, not five.
+    counts, big_ns, means, log_means = [], [], [], []
+    for subset in subsets:
+        n_at, mean_at, log_mean_at = _subset_hits(lam, subset, ns, logs, threshold)
+        counts.append(len(n_at))
+        big_ns.append(n_at)
+        means.append(mean_at)
+        log_means.append(log_mean_at)
+    columns = [np.repeat(np.arange(len(subsets), dtype=np.int64), counts)]
+    for parts in (big_ns, means, log_means):
+        columns.append(np.concatenate(parts))
+        parts.clear()
+    order = np.lexsort((columns[0], columns[1], _ratio(*columns[2:])))
+    for i in range(len(columns)):
+        columns[i] = columns[i][order]
+    del order
+    return CounterexampleHits(subsets, *columns, _ratio(*columns[2:]))
+
+
+def _subset_hits(
+    lam: np.ndarray,
+    subset: tuple[int, ...],
+    ns: np.ndarray,
+    logs: np.ndarray,
+    threshold: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """N, mean and log-mean at each hit of lambda flipped at subset's primes.
+
+    Its temporaries are freed on return, so they never sit between the
+    hits' parts on the heap.
+    """
+    v = lam.astype(np.int64)
+    m = len(v)
+    for p in subset:
+        power = p
+        while power <= m:
+            v[power - 1 :: power] *= -1
+            power *= p
+    cs = np.cumsum(v)
+    running = np.cumsum(v / ns)
+    means_at = cs[1:] / ns[1:]
+    log_means_at = running[1:] / logs
+    hit = (
+        (cs[1:] != 0)
+        & (np.abs(log_means_at) < threshold * np.abs(means_at))
+        & (np.abs(log_means_at) < np.abs(means_at))
     )
+    idx = np.flatnonzero(hit)
+    return idx + 2, means_at[idx], log_means_at[idx]
+
+
+def _ratio(mean: np.ndarray, log_mean: np.ndarray) -> np.ndarray:
+    """|log_mean| / |mean|, divided in place."""
+    ratio = np.abs(log_mean)
+    ratio /= np.abs(mean)
+    return ratio
 
 
 def least_nonresidue(p: int) -> int:

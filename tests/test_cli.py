@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import charscan
-from charscan import experiments, sums
+from charscan import cli, experiments, sums
 from charscan.characters import legendre_character
 from charscan.cli import _validate, build_parser, main
 from charscan.sums import max_partial_sum, pv_ratios
@@ -241,6 +241,22 @@ class TestPvScan:
         assert [r["conductor"] for r in json.loads(captured.out)] == [
             3, 7, 11, 19, 23, 31, 43, 47, 59,
         ]
+
+    def test_append_after_torn_last_line_starts_a_new_line(self, tmp_path, capsys):
+        # A run cut mid-write leaves a last line without its newline; the
+        # next record appended must not be glued onto it and lost.
+        cache = tmp_path / "cache.jsonl"
+        assert main(["pv-scan", "3", "100", "--out", str(cache)]) == 0
+        cache.write_bytes(cache.read_bytes()[:-30])
+        capsys.readouterr()
+        assert main(["pv-scan", "3", "200", "--out", str(cache)]) == 0
+        in_range = [r["conductor"] for r in json.loads(capsys.readouterr().out)]
+        assert in_range[: len(EXPECTED_CONDUCTORS)] == EXPECTED_CONDUCTORS
+        assert main(["pv-scan", "3", "200", "--out", str(cache)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("skipping malformed cache line") == 1
+        assert f"0 new, {len(in_range)} cached" in err
+        assert sorted(r["conductor"] for r in cli._load_cache(cache)) == in_range
 
     @pytest.mark.parametrize("field", ["ratio_log", "ratio_loglog"])
     @pytest.mark.parametrize(

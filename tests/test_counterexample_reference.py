@@ -15,6 +15,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -244,10 +245,11 @@ class TestHelper:
     """The forked formatting helper: real stdout, failures, no process left."""
 
     ARGV = ["counterexample", "--x-max", "1000"]
-    HITS = 32463  # two chunks of the default size
+    HITS = 32463
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_real_stdout_matches_one_process_route(self, fmt, capsys, monkeypatch):
+        assert -(-self.HITS // cli._HIT_CHUNK) >= 2  # so the helper runs
         # capsys replaces sys.stdout, so it cannot see a helper that flushes
         # an inherited stdout buffer; a real pipe as fd 1 can.
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -319,6 +321,49 @@ class TestHelper:
         assert len(forks) == 1
         assert kills == [(forks[0], signal.SIGKILL)]
         assert_no_child_left()
+
+
+def traced_peak(call):
+    """The tracemalloc peak, in bytes, of allocations made during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def columns_bytes(hits):
+    columns = (hits.subset, hits.N, hits.mean_at_N, hits.log_mean_at_N, hits.ratio)
+    return sum(column.nbytes for column in columns)
+
+
+class TestMemory:
+    """The search holds its hits about once; the stream adds a few chunks."""
+
+    X_MAX = 3000
+
+    def test_search_peak_is_about_its_hits(self):
+        table = build_spf(self.X_MAX)
+        found = []
+        peak = traced_peak(
+            lambda: found.append(counterexample_search(self.X_MAX, 2, 0.5, table))
+        )
+        assert peak < 1.75 * columns_bytes(found[0])
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_command_peak_adds_a_few_chunks_of_text(self, fmt, tmp_path, monkeypatch):
+        # With one CPU this process formats every chunk, one at a time; the
+        # text in flight must scale with the chunk, not with the hits.
+        set_cpus(monkeypatch, 1)
+        hits = counterexample_search(self.X_MAX, 2, 0.5)
+        out = tmp_path / f"hits.{fmt}"
+        argv = ["counterexample", *argv_of(self.X_MAX, 2, 0.5), "--format", fmt]
+        codes = []
+        peak = traced_peak(lambda: codes.append(main([*argv, "--out", str(out)])))
+        assert codes == [0]
+        row_bytes = out.stat().st_size / len(hits)
+        assert peak < 1.75 * columns_bytes(hits) + 2 * cli._HIT_CHUNK * row_bytes
 
 
 class TestSequence:
