@@ -213,16 +213,14 @@ def _expand_multiplicative(
     return _apply_plan(_expansion_plan(table, limit), v)
 
 
-def liouville(limit: int, table: SpfTable | None = None) -> np.ndarray:
+def liouville(limit: int) -> np.ndarray:
     """(-1)**Omega(n) for 1 <= n <= limit, as int8 (index i holds n = i + 1)."""
     if limit < 1:
         raise ValueError("limit must be positive")
     if limit == 1:
         return np.ones(1, dtype=np.int8)
-    if table is None:
-        table = build_spf(limit)
     v = np.full(limit + 1, -1, dtype=np.int8)
-    return _expand_multiplicative(v, table, limit)[1:]
+    return _expand_multiplicative(v, build_spf(limit), limit)[1:]
 
 
 def smallest_prime_above(

@@ -202,7 +202,9 @@ def _value_blocks(chi: QuadraticCharacter, limit: int) -> Iterator[np.ndarray]:
 def bulk_values(chi: QuadraticCharacter, limit: int) -> np.ndarray:
     """chi(n) for 1 <= n <= limit as a new int8 array (index i holds n = i + 1).
 
-    The concatenated blocks of the streaming kernel _value_blocks. The result
+    The public tabulation API. The library's own kernels stream _value_blocks,
+    so their memory stays bounded; this joins its blocks into one array of
+    limit bytes. The result
     is identical to calling evaluate at every index, but the two routes share
     no arithmetic: this one enumerates squares, evaluate runs the reciprocity
     symbol.

@@ -157,6 +157,15 @@ def _is_scan_record(record) -> bool:
     )
 
 
+def _scan_record(raw: bytes):
+    """The scan record on one raw cache line, or None if it holds none."""
+    try:
+        record = json.loads(raw.decode("utf-8").strip())
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    return record if _is_scan_record(record) else None
+
+
 def _load_cache(cache: Path) -> list[dict]:
     """Scan records of the cache; other lines, UTF-8 or not, draw a warning."""
     if not cache.exists():
@@ -164,27 +173,32 @@ def _load_cache(cache: Path) -> list[dict]:
     records = []
     with cache.open("rb") as fh:
         for raw in fh:
-            try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                record = None
-            if _is_scan_record(record):
+            record = _scan_record(raw)
+            if record is not None:
                 records.append(record)
-            else:
+            elif raw.decode("utf-8", "replace").strip():  # blank lines pass
                 print("warning: skipping malformed cache line", file=sys.stderr)
     return records
 
 
 def _append_cache(cache: Path, records: Sequence[dict]) -> None:
-    """Append one JSON line per record, after any torn last line."""
+    """Append one JSON line per record, after mending a torn last line.
+
+    A last line without its newline, left by an interrupted append, is
+    terminated and kept when it is a whole scan record and cut off
+    otherwise, so no later load warns about it again.
+    """
     with cache.open("a+b") as fh:
         if fh.tell():
             fh.seek(-1, os.SEEK_END)
             if fh.read(1) != b"\n":
-                fh.write(b"\n")
+                fh.seek(0)
+                data = fh.read()
+                start = data.rfind(b"\n") + 1
+                if _scan_record(data[start:]) is not None:
+                    fh.write(b"\n")
+                else:
+                    fh.truncate(start)
         for record in records:
             fh.write((json.dumps(record) + "\n").encode())
             fh.flush()

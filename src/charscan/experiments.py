@@ -21,7 +21,6 @@ from itertools import combinations
 import numpy as np
 
 from .arith import (
-    SpfTable,
     _apply_plan,
     _expansion_plan,
     build_spf,
@@ -338,21 +337,19 @@ def theorem_a_pipeline(
 
 
 def lemma_b_report(
-    f: CompletelyMultiplicativeFunction,
-    x: float,
-    table: SpfTable | None = None,
-    min_x: float = 100.0,
+    f: CompletelyMultiplicativeFunction, x: float, *, min_x: float = 100.0
 ) -> MeansReport:
     """Means report for one (f, x), with the decay-envelope bookkeeping.
 
-    ht_envelope = exp(-kappa u) is recorded alongside the empirical constant
-    |mean| * exp(kappa u); neither is asserted, since the envelope only
-    holds up to an absolute constant. Below min_x the report is flagged as
-    outside the regime where a threshold x0 is intended to apply.
+    f is expanded once, and mean, log_mean and conv_mean are all read from
+    that one array. ht_envelope = exp(-kappa u) is recorded alongside the
+    empirical constant |mean| * exp(kappa u); neither is asserted, since the
+    envelope only holds up to an absolute constant. Below min_x the report is
+    flagged as outside the regime where a threshold x0 is intended to apply.
     """
     if _floor_finite(x) < 2:
         raise ValueError("x must be at least 2")
-    vals = f.values_upto(x, table)
+    vals = f.values_upto(x)
     m = _mean_of(vals, x)
     u = ht_u(f, x)
     flags = (FLAG_BELOW_MIN_X,) if x < min_x else ()
@@ -527,10 +524,7 @@ class CounterexampleHits(Sequence[CounterexampleRecord]):
 
 
 def counterexample_search(
-    x_max: float,
-    flip_budget: int,
-    threshold: float,
-    table: SpfTable | None = None,
+    x_max: float, flip_budget: int, threshold: float
 ) -> CounterexampleHits:
     """Scan sign-flip perturbations of the Liouville function for inversions.
 
@@ -548,9 +542,7 @@ def counterexample_search(
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     m = math.floor(x_max)
-    if table is None:
-        table = build_spf(m)
-    lam = liouville(m, table)
+    lam = liouville(m)
     ns = np.arange(1, m + 1, dtype=np.float64)
     logs = np.log(ns[1:])
     pool = [p for p in _FLIP_POOL if p <= m]

@@ -8,8 +8,9 @@ math.fsum itself. Quoted 1e-9 tolerances are therefore dominated by the
 mathematics rather than the summation order.
 
 A completely multiplicative function stores its prime values once, as a
-float64 array aligned with sieve_primes(limit); callers that need several
-statistics of one (f, x) expand f once with values_upto.
+float64 array aligned with sieve_primes(limit). Each values_upto call sieves
+its own factor table; experiments.lemma_b_report reads several statistics of
+one (f, x) from one expansion.
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import (
-    SpfTable,
-    _expand_multiplicative,
-    build_spf,
-    is_prime,
-    sieve_primes,
-)
+from .arith import _expand_multiplicative, build_spf, is_prime, sieve_primes
 from . import characters
 from .characters import (
     _U32_ROOT,
@@ -213,11 +208,12 @@ class CompletelyMultiplicativeFunction:
             values[i] = -values[i]
         return type(self)(_PrimeValues(self.primes, values, self.limit), self.limit)
 
-    def values_upto(self, x: float, table: SpfTable | None = None) -> np.ndarray:
+    def values_upto(self, x: float) -> np.ndarray:
         """f(1..floor(x)) as float64 (index i holds n = i + 1).
 
         The result is a view of one length floor(x) + 1 buffer indexed by n,
-        expanded in place from f's values scattered onto the primes.
+        expanded in place from f's values scattered onto the primes by one
+        smallest-prime-factor table sieved for this call.
         """
         m = _floor_finite(x)
         if m < 1:
@@ -226,12 +222,10 @@ class CompletelyMultiplicativeFunction:
             raise ValueError(f"f is only defined up to {self.limit}, need {m}")
         if m == 1:
             return np.ones(1)
-        if table is None:
-            table = build_spf(m)
         k = np.searchsorted(self.primes, m, side="right")
         v = np.empty(m + 1)
         v[self.primes[:k]] = self.values[:k]
-        return _expand_multiplicative(v, table, m)[1:]
+        return _expand_multiplicative(v, build_spf(m), m)[1:]
 
 
 @dataclass(frozen=True)
@@ -245,13 +239,9 @@ class SumProfile:
     modulus: int
     max_abs: int
     argmax: int
-    samples: tuple[tuple[float, int], ...] | None = None
 
     def to_json(self) -> dict:
-        out = {"modulus": self.modulus, "max_abs": self.max_abs, "argmax": self.argmax}
-        if self.samples is not None:
-            out["samples"] = [[t, s] for t, s in self.samples]
-        return out
+        return {"modulus": self.modulus, "max_abs": self.max_abs, "argmax": self.argmax}
 
 
 @dataclass(frozen=True)
@@ -308,8 +298,8 @@ def _chunk_heads(block: np.ndarray, carry: int) -> np.ndarray:
     workload ran 8-18% slower. Prime moduli without sample points go to
     _legendre_peaks, which pays its own chunk pass once per batch of many
     primes, not once per prime. Short blocks here come from composite
-    moduli below 2 _CHUNK**2, from walks to requested points (burgess_scan,
-    sample_at), from the piece up to (p-1)/2 of xi's block that
+    moduli below 2 _CHUNK**2, from walks to requested points (burgess_scan),
+    from the piece up to (p-1)/2 of xi's block that
     verify_lemma_bg walks for m_xi (all of xi's walk when p < 2 _CHUNK**2),
     and from the last block of every walk. The heads are exact int64. Each
     chunk sum, at most _CHUNK < 2^15 in magnitude, is taken in int16, which
@@ -506,46 +496,26 @@ def _legendre_peaks(primes: Sequence[int]) -> Iterator[tuple[int, int]]:
         yield from zip(*_batch_peaks(values, halves, fill)[:2])
 
 
-def max_partial_sum(
-    chi: QuadraticCharacter, sample_at: Sequence[float] | None = None
-) -> SumProfile:
+def max_partial_sum(chi: QuadraticCharacter) -> SumProfile:
     """Peak of |S(t)| over t = 1..modulus, from a scan of t <= (q-1)/2 only.
 
     For a real nonprincipal chi mod q the sum over a period vanishes and
     chi(q-n) = chi(-1) chi(n), so S(q-1-t) = -chi(-1) S(t): |S| is symmetric
     about (q-1)/2 and the peak and its first maximizer lie in t <= (q-1)/2.
-    Ties go to the smallest t. A prime modulus with no sample_at goes
-    through _legendre_peaks, which walks it here only when (q-1)/2 >
-    characters._BLOCK. Every other scan is _walk's. There, exact chunk sums
-    give S at every edge of a chunk of _CHUNK values, and only the chunks
-    whose bound (|b| + |e| + _CHUNK) // 2 from their edge values b and e
-    reaches the best edge value or the peak so far are summed out value by
-    value.
-    Optional sample_at records (t, S(t)) pairs; t is reduced mod q, and S
-    beyond (q-1)/2 is read through the reflection.
+    Ties go to the smallest t. A prime modulus goes through _legendre_peaks,
+    which walks it here only when (q-1)/2 > characters._BLOCK. Every other
+    scan is _walk's. There, exact chunk sums give S at every edge of a chunk
+    of _CHUNK values, and only the chunks whose bound (|b| + |e| + _CHUNK)
+    // 2 from their edge values b and e reaches the best edge value or the
+    peak so far are summed out value by value.
     """
     q = chi.modulus
-    half = max((q - 1) // 2, 1)  # q = 1 is the trivial character: one value
-    if sample_at is None and len(chi.factors) == 1:
+    if len(chi.factors) == 1:
         ((peak, first),) = _legendre_peaks((q,))
-        return SumProfile(modulus=q, max_abs=peak, argmax=first)
-    reflect = 1 if chi.parity == "odd" else -1  # -chi(-1)
-    ts, points, signs = [], [], []
-    for t in sample_at or ():
-        m = math.floor(t)
-        if m >= q:
-            m %= q
-        sign = 1
-        if m > half:
-            m, sign = q - 1 - m, reflect
-        ts.append(float(t))
-        points.append(max(m, 0))
-        signs.append(sign)
-    peak, first, found = _walk(chi, half, points)
-    samples = None
-    if sample_at is not None:
-        samples = tuple((t, sign * s) for t, sign, s in zip(ts, signs, found))
-    return SumProfile(modulus=q, max_abs=peak, argmax=first, samples=samples)
+    else:
+        # q = 1 is the trivial character: one value.
+        peak, first, _ = _walk(chi, max((q - 1) // 2, 1))
+    return SumProfile(modulus=q, max_abs=peak, argmax=first)
 
 
 def _exact_total(blocks: Iterable[np.ndarray]) -> float:
@@ -650,18 +620,14 @@ def _conv_mean_of(vals: np.ndarray, x: float) -> float:
     return _exact_total(terms()) / x
 
 
-def mean(
-    f: CompletelyMultiplicativeFunction, x: float, table: SpfTable | None = None
-) -> float:
+def mean(f: CompletelyMultiplicativeFunction, x: float) -> float:
     """(1/x) * sum of f(n) over n <= x; needs x >= 1."""
-    return _mean_of(f.values_upto(x, table), x)
+    return _mean_of(f.values_upto(x), x)
 
 
-def log_mean(
-    f: CompletelyMultiplicativeFunction, x: float, table: SpfTable | None = None
-) -> float:
+def log_mean(f: CompletelyMultiplicativeFunction, x: float) -> float:
     """(1/log x) * sum of f(n)/n over n <= x; needs x >= 2."""
-    return _log_mean_of(f.values_upto(x, table), x)
+    return _log_mean_of(f.values_upto(x), x)
 
 
 def character_log_sum(chi: QuadraticCharacter, t: float) -> float:
@@ -680,16 +646,14 @@ def restricted_log_sum(xi: QuadraticCharacter, t: float, ell: int) -> float:
     return math.fsum(evaluate(xi, n) / n for n in range(1, m + 1) if n % ell)
 
 
-def conv_mean(
-    f: CompletelyMultiplicativeFunction, x: float, table: SpfTable | None = None
-) -> float:
+def conv_mean(f: CompletelyMultiplicativeFunction, x: float) -> float:
     """(1/x) * sum over n <= x of the divisor convolution (1 * f)(n).
 
     Rearranged exactly as sum_d f(d) floor(x/d); floor(x/d) equals
     floor(floor(x)/d) for integer d, so the counts stay in exact integers.
     Needs x >= 1.
     """
-    return _conv_mean_of(f.values_upto(x, table), x)
+    return _conv_mean_of(f.values_upto(x), x)
 
 
 def ht_u(f: CompletelyMultiplicativeFunction, x: float) -> float:

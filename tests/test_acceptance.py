@@ -133,21 +133,18 @@ def test_criterion_3():
         3, "divisor-convolution mean stays within 1 of log-mean times log x"
     ) as info:
         rng = np.random.default_rng(20260814)
-        table = build_spf(10**5)
         worst = 0.0
         for _ in range(100):
             f = CompletelyMultiplicativeFunction.random(10**5, rng)
             for x in (10.0, 100.0, 1000.0, 100000.0):
-                gap = abs(
-                    log_mean(f, x, table) * math.log(x) - conv_mean(f, x, table)
-                )
+                gap = abs(log_mean(f, x) * math.log(x) - conv_mean(f, x))
                 worst = max(worst, gap)
                 assert gap <= 1.0 + 1e-9, f"gap {gap} at x={x}"
-            vals = f.values_upto(1000, table)
+            vals = f.values_upto(1000)
             sieved = np.zeros(1000)
             for d in range(1, 1001):
                 sieved[d - 1 :: d] += vals[d - 1]
-            assert conv_mean(f, 1000, table) == pytest.approx(
+            assert conv_mean(f, 1000) == pytest.approx(
                 float(sieved.sum()) / 1000.0, abs=1e-9
             )
         info["functions"] = 100
@@ -301,7 +298,6 @@ def test_criterion_7():
         assert estimate.delta_hat > 0.0
         # rebuild the estimator's candidate set (deterministic in the seed)
         # and check the report invariants on every sampled function
-        table = build_spf(1000)
         rng = np.random.default_rng(20260814)
         cmf = CompletelyMultiplicativeFunction
         sample = [cmf.ones(1000), cmf.liouville(1000)]
@@ -309,7 +305,7 @@ def test_criterion_7():
         sample += [cmf.random(1000, rng) for _ in range(200)]
         assert len(sample) == estimate.candidates
         for f in sample:
-            report = lemma_b_report(f, 1000.0, table)
+            report = lemma_b_report(f, 1000.0)
             assert abs(report.mean) <= 1.0 + 1e-12
             assert report.u >= 0.0
         for low, high in ((0.0, 0.5), (0.5, 1.0), (1.0, 2.0)):

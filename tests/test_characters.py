@@ -202,16 +202,16 @@ class TestBulkValues:
 
     def test_half_period_sum_is_class_number_multiple(self):
         # Dirichlet: for p = 3 (mod 4), p > 3, the sum of (n/p) over
-        # n <= (p-1)/2 is (2 - (2/p)) h(-p). The half-period scan of
-        # max_partial_sum ends exactly at (p-1)/2, so its last running sum
-        # is read as the sample there.
+        # n <= (p-1)/2 is (2 - (2/p)) h(-p). The half-period walk of
+        # sums._walk ends exactly at (p-1)/2, so its last running sum is
+        # read as the point there.
         primes = [int(p) for p in sieve_primes(100_000) if p > 3 and p % 4 == 3]
         assert len(primes) == 4807
         h = class_numbers(100_000)
         for p in primes:
             half = (p - 1) // 2
             expected = (2 - kronecker(2, p)) * int(h[p])
-            ((_, last),) = max_partial_sum(legendre_character(p), [half]).samples
+            (last,) = sums._walk(legendre_character(p), half, [half])[2]
             assert last == expected, p
             if p < 20_000:
                 assert int(bulk_values(legendre_character(p), half).sum()) == expected

@@ -243,20 +243,40 @@ class TestPvScan:
         ]
 
     def test_append_after_torn_last_line_starts_a_new_line(self, tmp_path, capsys):
-        # A run cut mid-write leaves a last line without its newline; the
-        # next record appended must not be glued onto it and lost.
+        # A run cut mid-write leaves a last line without its newline. The
+        # next append cuts that fragment off, so no record is glued onto it
+        # and lost, the conductor it held is recomputed, and only the run
+        # that finds the fragment warns about it.
         cache = tmp_path / "cache.jsonl"
         assert main(["pv-scan", "3", "100", "--out", str(cache)]) == 0
         cache.write_bytes(cache.read_bytes()[:-30])
         capsys.readouterr()
         assert main(["pv-scan", "3", "200", "--out", str(cache)]) == 0
-        in_range = [r["conductor"] for r in json.loads(capsys.readouterr().out)]
+        captured = capsys.readouterr()
+        assert captured.err.count("skipping malformed cache line") == 1
+        in_range = [r["conductor"] for r in json.loads(captured.out)]
         assert in_range[: len(EXPECTED_CONDUCTORS)] == EXPECTED_CONDUCTORS
         assert main(["pv-scan", "3", "200", "--out", str(cache)]) == 0
         err = capsys.readouterr().err
-        assert err.count("skipping malformed cache line") == 1
+        assert "skipping malformed cache line" not in err
         assert f"0 new, {len(in_range)} cached" in err
-        assert sorted(r["conductor"] for r in cli._load_cache(cache)) == in_range
+        kept = read_jsonl(cache)  # every line parses: no fragment is left
+        assert all(cli._is_scan_record(r) for r in kept)
+        assert sorted(r["conductor"] for r in kept) == in_range
+
+    def test_unterminated_whole_record_is_kept(self, tmp_path, capsys):
+        # A last line that lost only its newline is still a record: the next
+        # append ends the line and keeps it.
+        cache = tmp_path / "cache.jsonl"
+        assert main(["pv-scan", "3", "100", "--out", str(cache)]) == 0
+        cache.write_bytes(cache.read_bytes()[:-1])
+        capsys.readouterr()
+        assert main(["pv-scan", "3", "200", "--out", str(cache)]) == 0
+        captured = capsys.readouterr()
+        assert "skipping malformed cache line" not in captured.err
+        assert f"new, {len(EXPECTED_CONDUCTORS)} cached" in captured.err
+        in_range = [r["conductor"] for r in json.loads(captured.out)]
+        assert [r["conductor"] for r in read_jsonl(cache)] == in_range
 
     @pytest.mark.parametrize("field", ["ratio_log", "ratio_loglog"])
     @pytest.mark.parametrize(

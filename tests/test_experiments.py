@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from charscan import characters, experiments, sums
-from charscan.arith import build_spf, is_prime, sieve_primes
+from charscan import arith, characters, experiments, sums
+from charscan.arith import build_spf, is_prime, liouville, sieve_primes
 from charscan.characters import evaluate, legendre_character, product_character
 from charscan.experiments import (
     DeltaEstimate,
@@ -264,13 +264,13 @@ class TestLemmaBReport:
             harmonic / math.log(1000), rel=1e-14
         )
 
-    def test_fields_match_primitives(self, spf_2k):
+    def test_fields_match_primitives(self):
         f = CMF.liouville(100)
-        report = lemma_b_report(f, 100, spf_2k)
-        assert report.mean == mean(f, 100, spf_2k)
-        assert report.log_mean == log_mean(f, 100, spf_2k)
+        report = lemma_b_report(f, 100)
+        assert report.mean == mean(f, 100)
+        assert report.log_mean == log_mean(f, 100)
         assert report.u == ht_u(f, 100)
-        assert report.conv_mean == conv_mean(f, 100, spf_2k)
+        assert report.conv_mean == conv_mean(f, 100)
         assert report.gs_bound == gs_bound(report.u, 100)
         assert report.ht_envelope == math.exp(-0.32 * report.u)
         assert report.ht_constant == abs(report.mean) * math.exp(0.32 * report.u)
@@ -284,15 +284,22 @@ class TestLemmaBReport:
         with pytest.raises(ValueError):
             lemma_b_report(CMF.ones(10), 1.5)
 
-    def test_peak_memory_is_the_values_plus_a_few_blocks(self):
+    def test_min_x_is_keyword_only(self):
+        # A positional third argument cannot bind to min_x by mistake.
+        with pytest.raises(TypeError):
+            lemma_b_report(CMF.ones(150), 150, 200)
+
+    def test_peak_memory_is_the_values_plus_a_few_blocks(self, monkeypatch):
         # Past f's values and the table, the report holds one float64 value
-        # per n and block-sized temporaries; no other length-x array.
+        # per n and block-sized temporaries; no other length-x array. The
+        # table is sieved before tracing starts, so the peak leaves it out.
         x = 2**20
         table = build_spf(x)
+        monkeypatch.setattr(sums, "build_spf", lambda limit: table)
         f = CMF.random(x, np.random.default_rng(3))
         tracemalloc.start()
         try:
-            lemma_b_report(f, x, table)
+            lemma_b_report(f, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -335,11 +342,10 @@ def reference_candidates(x, trials, seed):
 def reference_estimate(c, x, trials, seed):
     """estimate_delta by the per-candidate route: each candidate expanded by
     values_upto, its mean and log-mean summed exactly."""
-    table = build_spf(max(math.floor(x), 2))
     candidates = reference_candidates(x, trials, seed)
     best, qualifying = None, 0
     for label, f in candidates:
-        vals = f.values_upto(x, table)
+        vals = f.values_upto(x)
         if abs(_mean_of(vals, x)) >= c:
             qualifying += 1
             value = _log_mean_of(vals, x)
@@ -482,8 +488,8 @@ class TestCounterexampleSearch:
     def test_zero_threshold_finds_nothing(self):
         assert counterexample_search(150, 2, 0.0) == []
 
-    def test_hits_satisfy_the_definition(self, spf_2k):
-        hits = counterexample_search(200, 1, 0.9, spf_2k)
+    def test_hits_satisfy_the_definition(self):
+        hits = counterexample_search(200, 1, 0.9)
         assert hits, "perturbed Liouville functions do produce inversions"
         ratios = []
         for rec in hits:
@@ -494,19 +500,15 @@ class TestCounterexampleSearch:
             ratios.append(abs(rec.log_mean_at_N) / abs(rec.mean_at_N))
         assert ratios == sorted(ratios)
 
-    def test_records_match_direct_means(self, spf_2k):
-        hits = counterexample_search(200, 1, 0.9, spf_2k)
+    def test_records_match_direct_means(self):
+        hits = counterexample_search(200, 1, 0.9)
         for rec in hits[:5]:
             f = CMF.liouville(200).flip(list(rec.flipped_primes))
-            assert rec.mean_at_N == pytest.approx(
-                mean(f, rec.N, spf_2k), abs=1e-12
-            )
-            assert rec.log_mean_at_N == pytest.approx(
-                log_mean(f, rec.N, spf_2k), abs=1e-12
-            )
+            assert rec.mean_at_N == pytest.approx(mean(f, rec.N), abs=1e-12)
+            assert rec.log_mean_at_N == pytest.approx(log_mean(f, rec.N), abs=1e-12)
 
-    def test_budget_zero_keeps_only_unperturbed(self, spf_2k):
-        hits = counterexample_search(200, 0, 0.9, spf_2k)
+    def test_budget_zero_keeps_only_unperturbed(self):
+        hits = counterexample_search(200, 0, 0.9)
         assert all(rec.flipped_primes == () for rec in hits)
 
     def test_unperturbed_log_sum_keeps_its_sign(self):
@@ -532,11 +534,38 @@ class TestCounterexampleSearch:
         with pytest.raises(ValueError):
             counterexample_search(150, 1, -0.5)
 
-    def test_serialized_form(self, spf_2k):
-        rec = counterexample_search(200, 1, 0.9, spf_2k)[0]
+    def test_serialized_form(self):
+        rec = counterexample_search(200, 1, 0.9)[0]
         js = rec.to_json()
         assert js["N"] == rec.N
         assert js["flipped_primes"] == list(rec.flipped_primes)
+
+
+@pytest.mark.parametrize(
+    "call, limit",
+    [
+        (lambda: CMF.random(5000, np.random.default_rng(1)).values_upto(5000), 5000),
+        (lambda: lemma_b_report(CMF.liouville(5000), 5000), 5000),
+        (lambda: counterexample_search(500, 1, 0.9), 500),
+        (lambda: liouville(5000), 5000),
+        (lambda: estimate_delta(0.5, 5000, 3, seed=0), 5000),
+    ],
+    ids=["values_upto", "lemma_b_report", "counterexample_search", "liouville",
+         "estimate_delta"],
+)
+def test_one_spf_sieve_per_call(call, limit, monkeypatch):
+    # No caller can hand in a table, so each call sieves its own, and only
+    # one, whichever module's binding it reaches build_spf through.
+    sieved = []
+
+    def counting(n):
+        sieved.append(n)
+        return build_spf(n)
+
+    for module in (arith, sums, experiments):
+        monkeypatch.setattr(module, "build_spf", counting)
+    call()
+    assert sieved == [limit]
 
 
 class TestLeastNonresidue:

@@ -29,6 +29,7 @@ from charscan.characters import bulk_values, legendre_character, product_charact
 from charscan.experiments import LemmaBgAudit, burgess_scan, verify_lemma_bg
 from charscan.sums import SumProfile, max_partial_sum, partial_sum
 from test_characters import class_numbers
+from test_sums import walk_samples
 
 
 def reference_values(chi, limit):
@@ -40,24 +41,26 @@ def reference_values(chi, limit):
     return out
 
 
-def reference_profile(chi, sample_at=None):
-    """The whole-period max_partial_sum: one cumulative sum over t = 1..q."""
+def reference_walk(chi, ts):
+    """Peak of |S|, its first maximizer and S(t) at each t, t reduced mod q,
+    from one cumulative sum over t = 1..q."""
     q = chi.modulus
     cs = np.cumsum(reference_values(chi, q), dtype=np.int64)
     magnitudes = np.abs(cs)
     best = int(np.argmax(magnitudes))
-    samples = None
-    if sample_at is not None:
-        collected = []
-        for t in sample_at:
-            m = math.floor(t)
-            if m >= q:
-                m %= q
-            collected.append((float(t), int(cs[m - 1]) if m >= 1 else 0))
-        samples = tuple(collected)
-    return SumProfile(
-        modulus=q, max_abs=int(magnitudes[best]), argmax=best + 1, samples=samples
-    )
+    found = []
+    for t in ts:
+        m = math.floor(t)
+        if m >= q:
+            m %= q
+        found.append(int(cs[m - 1]) if m >= 1 else 0)
+    return int(magnitudes[best]), best + 1, found
+
+
+def reference_profile(chi):
+    """The whole-period max_partial_sum."""
+    peak, first, _ = reference_walk(chi, ())
+    return SumProfile(modulus=chi.modulus, max_abs=peak, argmax=first)
 
 
 def reference_audit(xi, psi):
@@ -149,13 +152,15 @@ CHARACTERS = [
 def test_max_partial_sum_matches_reference(factors, monkeypatch):
     chi = character(*factors)
     points = sample_points(chi.modulus)
-    expected = reference_profile(chi, sample_at=points)
-    assert max_partial_sum(chi, sample_at=points) == expected
+    sampled = reference_walk(chi, points)
+    expected = reference_profile(chi)
+    assert walk_samples(chi, points) == sampled
+    assert max_partial_sum(chi) == expected
     peak = (expected.max_abs, expected.argmax)
     for size in block_sizes(chi):
         monkeypatch.setattr(characters, "_BLOCK", size)
-        assert max_partial_sum(chi, sample_at=points) == expected, size
-        assert max_partial_sum(chi) == reference_profile(chi), size
+        assert walk_samples(chi, points) == sampled, size
+        assert max_partial_sum(chi) == expected, size
         # A prime modulus takes _legendre_peaks once (q-1)/2 fits in a block.
         assert sums._walk(chi, (chi.modulus - 1) // 2)[:2] == peak, size
 
@@ -168,16 +173,17 @@ def test_parities_are_covered():
 
 
 def test_samples_past_half_period_follow_the_reflection():
-    # S(q-1-t) = -chi(-1) S(t): the sign flips for even characters only.
+    # S(q-1-t) = -chi(-1) S(t) for 0 <= t < q, and S(q-1) = S(q) = 0: the
+    # identity behind every scan of t <= (q-1)/2 only. The sign flips for
+    # even characters only.
     for factors in ((1019,), (1009,), (3, 7), (3, 5)):
         chi = character(*factors)
         q = chi.modulus
-        ts = list(range(q + 1))
-        samples = dict(max_partial_sum(chi, sample_at=ts).samples)
+        s = np.zeros(q + 1, dtype=np.int64)  # s[t] = S(t), S(0) = 0
+        np.cumsum(bulk_values(chi, q), out=s[1:])
         sign = 1 if chi.parity == "odd" else -1
-        for t in ts[:q]:
-            assert samples[q - 1 - t] == sign * samples[t]
-        assert samples[q - 1] == samples[q] == 0
+        assert np.array_equal(s[q - 1 :: -1], sign * s[:q])
+        assert s[q - 1] == s[q] == 0
 
 
 def test_long_composite_walk_matches_reference(monkeypatch):
@@ -185,10 +191,10 @@ def test_long_composite_walk_matches_reference(monkeypatch):
     chi = character(7, 11, 13, 19)
     q = chi.modulus
     points = sample_points(q)
-    expected = reference_profile(chi, sample_at=points)
+    expected = reference_walk(chi, points)
     for size in (97, 1 << 9, 4095):
         monkeypatch.setattr(characters, "_BLOCK", size)
-        assert max_partial_sum(chi, sample_at=points) == expected, size
+        assert walk_samples(chi, points) == expected, size
 
 
 # (23, 7), (71, 11) and (311, 19) peak past (p-1)/2 and late in the walk;
@@ -386,8 +392,8 @@ def test_chunked_walk_matches_reference(chunk, monkeypatch, coarse_passes):
         for size in chunk_block_sizes(chunk):
             monkeypatch.setattr(characters, "_BLOCK", size)
             points = sample_points(q) + edge_points((q - 1) // 2, size, chunk)
-            expected = reference_profile(chi, sample_at=points)
-            assert max_partial_sum(chi, sample_at=points) == expected, (factors, size)
+            expected = reference_walk(chi, points)
+            assert walk_samples(chi, points) == expected, (factors, size)
     assert coarse_passes
 
 
@@ -612,7 +618,7 @@ def test_batch_memory_is_flat_in_the_number_of_primes():
 
 @pytest.fixture
 def walked(monkeypatch):
-    """The moduli sums._walk is called with."""
+    """The moduli sums._walk is called with, from sums or from experiments."""
     moduli = []
     walk = sums._walk
 
@@ -621,6 +627,7 @@ def walked(monkeypatch):
         return walk(chi, limit, points)
 
     monkeypatch.setattr(sums, "_walk", counting)
+    monkeypatch.setattr(experiments, "_walk", counting)
     return moduli
 
 
@@ -649,7 +656,7 @@ def test_kernel_selection_follows_the_block(monkeypatch, walked):
 
 
 def test_sample_points_and_composites_stay_on_the_walk(walked):
-    max_partial_sum(legendre_character(1019), sample_at=[3.0])
+    burgess_scan(1019, [0.5])
     max_partial_sum(character(3, 7))
     max_partial_sum(legendre_character(1019))
     assert walked == [1019, 21]

@@ -49,6 +49,30 @@ def chi21():
     return product_character(xi(3), xi(7))
 
 
+def walk_samples(chi, ts):
+    """Peak, first maximizer and S(t) at each t, from one sums._walk to (q-1)/2.
+
+    t is reduced mod q, and S at a t past (q-1)/2 is read through the
+    reflection S(q-1-t) = -chi(-1) S(t), so one half-period walk serves
+    every t.
+    """
+    q = chi.modulus
+    half = max((q - 1) // 2, 1)
+    reflect = 1 if chi.parity == "odd" else -1
+    points, signs = [], []
+    for t in ts:
+        m = math.floor(t)
+        if m >= q:
+            m %= q
+        sign = 1
+        if m > half:
+            m, sign = q - 1 - m, reflect
+        points.append(max(m, 0))
+        signs.append(sign)
+    peak, first, found = sums._walk(chi, half, points)
+    return peak, first, [sign * s for sign, s in zip(signs, found)]
+
+
 def brute_conv_mean(f, x):
     m = math.floor(x)
     vals = f.values_upto(m)
@@ -136,16 +160,15 @@ class TestMaxPartialSum:
             )
 
     def test_samples(self):
-        prof = max_partial_sum(xi(7), sample_at=[2.5, 7.0, 0.5])
-        assert prof.samples == ((2.5, 2), (7.0, 0), (0.5, 0))
-        assert prof.to_json()["samples"] == [[2.5, 2], [7.0, 0], [0.5, 0]]
+        # xi mod 7 is 1, 1, -1, 1, -1, -1: S(t) = 1, 2, 1, 2, 1, 0.
+        assert walk_samples(xi(7), [2.5, 7.0, 0.5, 4.0, 5.5]) == (2, 2, [2, 0, 0, 2, 1])
 
     def test_streaming_matches_pointwise_at_random_cuts(self):
         rng = np.random.default_rng(42)
         chi = xi(1019)
         cuts = [float(t) for t in rng.uniform(0.0, 1019.0, size=100)]
-        prof = max_partial_sum(chi, sample_at=cuts)
-        for t, s in prof.samples:
+        _, _, found = walk_samples(chi, cuts)
+        for t, s in zip(cuts, found):
             assert s == partial_sum(chi, t)
 
     def test_large_modulus_matches_point_queries(self):
