@@ -202,17 +202,6 @@ def _apply_plan(
     return v
 
 
-def _expand_multiplicative(
-    v: np.ndarray, table: SpfTable, limit: int
-) -> np.ndarray:
-    """Extend values on primes to all 1 <= n <= limit by smallest-factor peeling.
-
-    v has length limit + 1 and holds v[p] = f(p) at the primes; it is
-    expanded in place and returned, with v[n] = f(n) for n >= 1 and v[0] = 0.
-    """
-    return _apply_plan(_expansion_plan(table, limit), v)
-
-
 def liouville(limit: int) -> np.ndarray:
     """(-1)**Omega(n) for 1 <= n <= limit, as int8 (index i holds n = i + 1)."""
     if limit < 1:
@@ -220,7 +209,7 @@ def liouville(limit: int) -> np.ndarray:
     if limit == 1:
         return np.ones(1, dtype=np.int8)
     v = np.full(limit + 1, -1, dtype=np.int8)
-    return _expand_multiplicative(v, build_spf(limit), limit)[1:]
+    return _apply_plan(_expansion_plan(build_spf(limit), limit), v)[1:]
 
 
 def smallest_prime_above(

@@ -54,8 +54,8 @@ from .sums import (
     CompletelyMultiplicativeFunction,
     SumProfile,
     _legendre_peaks,
-    _log_mean_of,
-    _mean_of,
+    log_mean,
+    mean,
     pv_ratios,
 )
 
@@ -470,8 +470,8 @@ def _cmd_means(args: argparse.Namespace) -> int:
         {
             "f": label,
             "x": args.x,
-            "mean": _mean_of(vals, args.x),
-            "log_mean": _log_mean_of(vals, args.x),
+            "mean": mean(vals, args.x),
+            "log_mean": log_mean(vals, args.x),
         }
     ]
     _emit(rows, ["f", "x", "mean", "log_mean"], args)

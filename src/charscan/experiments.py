@@ -44,18 +44,16 @@ from .sums import (
     MeansReport,
     _UNIT_ROUNDOFF,
     _block_bounds,
-    _block_peak,
-    _chunk_heads,
-    _conv_mean_of,
     _floor_finite,
-    _log_mean_of,
-    _mean_of,
     _mean_reaches,
     _walk,
     character_log_sum,
+    conv_mean,
     gs_bound,
     ht_u,
+    log_mean,
     max_partial_sum,
+    mean,
     partial_sum,
     restricted_log_sum,
 )
@@ -155,16 +153,15 @@ def verify_lemma_bg(xi: QuadraticCharacter, psi: QuadraticCharacter) -> LemmaBgA
     only jumps at integers, so the peak over real t is a peak over n.
 
     The walk over n stops early once the rest of it provably cannot reach
-    the peak. The largest |S_xi(t)|, m_xi, is read exactly from the values
-    walked, at n <= (m-1)/2 for xi mod m: by the reflection
-    S_xi(m-1-t) = -xi(-1) S_xi(t) and periodicity, that covers every t.
-    From then on, at the end of each block of n <= N the walk stops if the
-    peak so far exceeds |fl R(N)| plus _log_sum_tail_bound, the certified
-    bound on how far any later float value can move: 4 m_xi/(N+1) for R
-    itself plus twice its float error. The comparison is padded by
-    1 + 2^-50 against its own rounding. No float value past N can then
-    reach the peak, so lhs, rhs_main and gap are bit-identical to a walk
-    over every n <= q.
+    the peak. The largest |S_xi(t)|, m_xi, is read first, as
+    max_partial_sum(xi).max_abs: by periodicity and the reflection
+    S_xi(m-1-t) = -xi(-1) S_xi(t) for xi mod m, it bounds |S_xi| at every t.
+    At the end of each block of n <= N the walk then stops if the peak so
+    far exceeds |fl R(N)| plus _log_sum_tail_bound, the certified bound on
+    how far any later float value can move: 4 m_xi/(N+1) for R itself plus
+    twice its float error. The comparison is padded by 1 + 2^-50 against
+    its own rounding. No float value past N can then reach the peak, so
+    lhs, rhs_main and gap are bit-identical to a walk over every n <= q.
 
     The gap omits the bounded correction term, so it may be negative; what
     matters is that it is stable and bounded below.
@@ -176,26 +173,17 @@ def verify_lemma_bg(xi: QuadraticCharacter, psi: QuadraticCharacter) -> LemmaBgA
     chi = product_character(xi, psi)  # also validates coprimality
     q = chi.modulus
     ell = psi.modulus
-    # Held until the audit's walk ends, so both walks read one table per
-    # factor of xi.
+    # Held until the audit's walk ends, so all three walks read one table
+    # per factor of xi.
     held = [_shared_value_table(p) for p in xi.factors]
     lhs = max_partial_sum(chi).max_abs / math.sqrt(q)
+    m_xi = max_partial_sum(xi).max_abs
     # The log-sum runs over n = 1..q in the blocks of xi's values. Each block
     # gets the running sum so far prepended before np.cumsum, so every
     # addition happens in the same order as one cumsum over all q terms.
-    # The exact sums S_xi(n), n <= half, ride along for m_xi, through the
-    # chunked peak kernel of _walk.
-    half = (xi.modulus - 1) // 2
-    dtype = np.int32 if half < 2**31 else np.int64
     peak, carry, start = 0.0, 0.0, 1
-    m_xi, s_xi = 0, 0
     for block in _value_blocks(xi, q):
         running = np.empty(len(block) + 1)
-        if start <= half:
-            values = block[: half + 1 - start]
-            heads = _chunk_heads(values, s_xi)
-            value, _, s_xi = _block_peak(values, heads, m_xi, dtype)
-            m_xi = max(m_xi, value)
         running[0] = carry
         running[1:] = block
         # Divided slice by slice: a divisor array as long as the block would
@@ -207,9 +195,9 @@ def verify_lemma_bg(xi: QuadraticCharacter, psi: QuadraticCharacter) -> LemmaBgA
         carry = float(running[-1])
         peak = max(peak, float(running.max()), -float(running.min()))
         start += len(block)
-        if start > half and peak > (
-            abs(carry) + _log_sum_tail_bound(m_xi, start - 1, q)
-        ) * (1.0 + 2.0**-50):
+        if peak > (abs(carry) + _log_sum_tail_bound(m_xi, start - 1, q)) * (
+            1.0 + 2.0**-50
+        ):
             break
     rhs_main = math.sqrt(ell) / (math.pi * (ell - 1)) * peak
     return LemmaBgAudit(lhs=lhs, rhs_main=rhs_main, gap=lhs - rhs_main)
@@ -350,15 +338,15 @@ def lemma_b_report(
     if _floor_finite(x) < 2:
         raise ValueError("x must be at least 2")
     vals = f.values_upto(x)
-    m = _mean_of(vals, x)
+    m = mean(vals, x)
     u = ht_u(f, x)
     flags = (FLAG_BELOW_MIN_X,) if x < min_x else ()
     return MeansReport(
         x=float(x),
         mean=m,
-        log_mean=_log_mean_of(vals, x),
+        log_mean=log_mean(vals, x),
         u=u,
-        conv_mean=_conv_mean_of(vals, x),
+        conv_mean=conv_mean(vals, x),
         gs_bound=gs_bound(u, x),
         ht_envelope=math.exp(-CONSTANTS.kappa * u),
         ht_constant=abs(m) * math.exp(CONSTANTS.kappa * u),
@@ -390,7 +378,8 @@ def estimate_delta(c: float, x: float, trials: int, seed: int) -> DeltaEstimate:
     Candidates are `trials` seeded random functions (prime values uniform on
     [-1, 1]) plus deterministic extremes: the constant 1, the all-flipped
     function, and single flips at the first few primes. Functions with
-    |mean(f, x)| >= c qualify; the smallest log-mean among them is returned.
+    |mean(f.values_upto(x), x)| >= c qualify; the smallest log-mean among
+    them is returned.
     Deterministic in seed. If nothing qualifies, the estimate fields are None
     and qualifying is 0.
 
@@ -436,7 +425,7 @@ def estimate_delta(c: float, x: float, trials: int, seed: int) -> DeltaEstimate:
         _apply_plan(plan, v)
         if _mean_reaches(vals, x, c, scratch):
             qualifying += 1
-            value = _log_mean_of(vals, x)
+            value = log_mean(vals, x)
             if best is None or value < best[0]:
                 best = (value, label)
     delta_hat, worst_f = best if best is not None else (None, None)

@@ -9,8 +9,9 @@ mathematics rather than the summation order.
 
 A completely multiplicative function stores its prime values once, as a
 float64 array aligned with sieve_primes(limit). Each values_upto call sieves
-its own factor table; experiments.lemma_b_report reads several statistics of
-one (f, x) from one expansion.
+its own factor table. The statistics mean, log_mean and conv_mean take that
+expanded array, values = f.values_upto(x), so a caller reads several
+statistics of one (f, x) from one expansion.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import _expand_multiplicative, build_spf, is_prime, sieve_primes
+from .arith import _apply_plan, _expansion_plan, build_spf, is_prime, sieve_primes
 from . import characters
 from .characters import (
     _U32_ROOT,
@@ -225,7 +226,7 @@ class CompletelyMultiplicativeFunction:
         k = np.searchsorted(self.primes, m, side="right")
         v = np.empty(m + 1)
         v[self.primes[:k]] = self.values[:k]
-        return _expand_multiplicative(v, build_spf(m), m)[1:]
+        return _apply_plan(_expansion_plan(build_spf(m), m), v)[1:]
 
 
 @dataclass(frozen=True)
@@ -295,15 +296,14 @@ def _chunk_heads(block: np.ndarray, carry: int) -> np.ndarray:
     the partial sums rarely clear the chunk bound of _block_peak by much:
     measured when pv-scan still walked here, chunking rescanned every chunk
     below p = 1e4 and 45% of them at 5e4 < p < 1.2e5, and perfbench's scan
-    workload ran 8-18% slower. Prime moduli without sample points go to
-    _legendre_peaks, which pays its own chunk pass once per batch of many
-    primes, not once per prime. Short blocks here come from composite
-    moduli below 2 _CHUNK**2, from walks to requested points (burgess_scan),
-    from the piece up to (p-1)/2 of xi's block that
-    verify_lemma_bg walks for m_xi (all of xi's walk when p < 2 _CHUNK**2),
-    and from the last block of every walk. The heads are exact int64. Each
-    chunk sum, at most _CHUNK < 2^15 in magnitude, is taken in int16, which
-    numpy reduces about twice as fast as int32.
+    workload ran 8-18% slower. pv-scan's primes go to _legendre_peaks,
+    which pays its own chunk pass once per batch of many primes, not once
+    per prime. Short blocks here come from max_partial_sum at moduli below
+    2 _CHUNK**2 (xi's peak in verify_lemma_bg at such p too), from walks to
+    requested points (burgess_scan), and from the last block of every walk.
+    The heads are exact int64. Each chunk sum, at most _CHUNK < 2^15 in
+    magnitude, is taken in int16, which numpy reduces about twice as fast
+    as int32.
     """
     n = len(block)
     whole = n // _CHUNK if n >= _CHUNK * _CHUNK else 0
@@ -502,19 +502,16 @@ def max_partial_sum(chi: QuadraticCharacter) -> SumProfile:
     For a real nonprincipal chi mod q the sum over a period vanishes and
     chi(q-n) = chi(-1) chi(n), so S(q-1-t) = -chi(-1) S(t): |S| is symmetric
     about (q-1)/2 and the peak and its first maximizer lie in t <= (q-1)/2.
-    Ties go to the smallest t. A prime modulus goes through _legendre_peaks,
-    which walks it here only when (q-1)/2 > characters._BLOCK. Every other
-    scan is _walk's. There, exact chunk sums give S at every edge of a chunk
-    of _CHUNK values, and only the chunks whose bound (|b| + |e| + _CHUNK)
-    // 2 from their edge values b and e reaches the best edge value or the
-    peak so far are summed out value by value.
+    Ties go to the smallest t. Every modulus, prime or composite, is one
+    _walk: exact chunk sums give S at every edge of a chunk of _CHUNK
+    values, and only the chunks whose bound (|b| + |e| + _CHUNK) // 2 from
+    their edge values b and e reaches the best edge value or the peak so far
+    are summed out value by value. Its memory is O(min(q, characters._BLOCK)
+    + largest factor of q).
     """
     q = chi.modulus
-    if len(chi.factors) == 1:
-        ((peak, first),) = _legendre_peaks((q,))
-    else:
-        # q = 1 is the trivial character: one value.
-        peak, first, _ = _walk(chi, max((q - 1) // 2, 1))
+    # q = 1 is the trivial character: one value.
+    peak, first, _ = _walk(chi, max((q - 1) // 2, 1))
     return SumProfile(modulus=q, max_abs=peak, argmax=first)
 
 
@@ -559,20 +556,33 @@ def _exact_sum(a: np.ndarray) -> float:
     return _exact_total(a[lo:hi] for lo, hi in _block_bounds(len(a)))
 
 
-def _mean_of(vals: np.ndarray, x: float) -> float:
-    return _exact_sum(vals) / x
+def _length(values: np.ndarray, x: float) -> int:
+    """floor(x), checked against len(values) for values = f.values_upto(x)."""
+    m = _floor_finite(x)
+    if m < 1:
+        raise ValueError("x must be at least 1")
+    if len(values) != m:
+        raise ValueError(f"values must hold f(n) for n <= {m}, not {len(values)} values")
+    return m
+
+
+def mean(values: np.ndarray, x: float) -> float:
+    """(1/x) * sum of f(n) over n <= x, with values = f.values_upto(x); needs x >= 1."""
+    _length(values, x)
+    return _exact_sum(values) / x
 
 
 def _mean_reaches(
     vals: np.ndarray, x: float, c: float, scratch: np.ndarray
 ) -> bool:
-    """abs(_mean_of(vals, x)) >= c, summed exactly only when floats cannot tell.
+    """abs(_exact_sum(vals) / x) >= c, summed exactly only when floats cannot tell.
 
-    For c > 0 and x >= 1. The float sum s of n terms, in any order of its
-    n - 1 additions (so np.sum's pairwise order too), lies within
-    gamma_{n-1} sum|a_i| of the exact sum S, where gamma_k = k u / (1 - k u)
-    and u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
-    section 4.2). The margin doubles that bound, which covers the rounding
+    For vals = f.values_upto(x) this is abs(mean(vals, x)) >= c, but vals
+    may have any length; c > 0 and x >= 1. The float sum s of n terms, in
+    any order of its n - 1 additions (so np.sum's pairwise order too), lies
+    within gamma_{n-1} sum|a_i| of the exact sum S, where
+    gamma_k = k u / (1 - k u) and u = 2^-53 (Higham, Accuracy and Stability
+    of Numerical Algorithms, section 4.2). The margin doubles that bound, which covers the rounding
     of the computed sum|a_i|; adds 2^-48 (|s| + c x), which covers the two
     roundings of fl(fl(S)/x) and those of this test; and adds 2^-1000 x for
     underflow. Beyond the margin the sign of |s| - c x is the answer; within
@@ -595,39 +605,21 @@ def _mean_reaches(
     return abs(_exact_sum(vals) / x) >= c
 
 
-def _log_mean_of(vals: np.ndarray, x: float) -> float:
-    """(1/log x) * sum of vals[n-1] / n, one block of n at a time."""
+def log_mean(values: np.ndarray, x: float) -> float:
+    """(1/log x) * sum of f(n)/n over n <= x, with values = f.values_upto(x).
+
+    Needs x >= 2. The terms are divided one block of n at a time.
+    """
+    _length(values, x)
     if x < 2:
         raise ValueError("x must be at least 2 for the log normalization")
 
     def terms() -> Iterator[np.ndarray]:
-        for lo, hi in _block_bounds(len(vals)):
+        for lo, hi in _block_bounds(len(values)):
             n = np.arange(lo + 1, hi + 1, dtype=np.float64)
-            yield np.divide(vals[lo:hi], n, out=n)
+            yield np.divide(values[lo:hi], n, out=n)
 
     return _exact_total(terms()) / math.log(x)
-
-
-def _conv_mean_of(vals: np.ndarray, x: float) -> float:
-    """(1/x) * sum of vals[d-1] * (m // d) with m = len(vals), one block of d at a time."""
-    m = len(vals)
-
-    def terms() -> Iterator[np.ndarray]:
-        for lo, hi in _block_bounds(m):
-            d = np.arange(lo + 1, hi + 1, dtype=np.int64)
-            yield vals[lo:hi] * np.floor_divide(m, d, out=d)
-
-    return _exact_total(terms()) / x
-
-
-def mean(f: CompletelyMultiplicativeFunction, x: float) -> float:
-    """(1/x) * sum of f(n) over n <= x; needs x >= 1."""
-    return _mean_of(f.values_upto(x), x)
-
-
-def log_mean(f: CompletelyMultiplicativeFunction, x: float) -> float:
-    """(1/log x) * sum of f(n)/n over n <= x; needs x >= 2."""
-    return _log_mean_of(f.values_upto(x), x)
 
 
 def character_log_sum(chi: QuadraticCharacter, t: float) -> float:
@@ -646,14 +638,21 @@ def restricted_log_sum(xi: QuadraticCharacter, t: float, ell: int) -> float:
     return math.fsum(evaluate(xi, n) / n for n in range(1, m + 1) if n % ell)
 
 
-def conv_mean(f: CompletelyMultiplicativeFunction, x: float) -> float:
+def conv_mean(values: np.ndarray, x: float) -> float:
     """(1/x) * sum over n <= x of the divisor convolution (1 * f)(n).
 
-    Rearranged exactly as sum_d f(d) floor(x/d); floor(x/d) equals
-    floor(floor(x)/d) for integer d, so the counts stay in exact integers.
-    Needs x >= 1.
+    values = f.values_upto(x). Rearranged exactly as sum_d f(d) floor(x/d);
+    floor(x/d) equals floor(floor(x)/d) for integer d, so the counts stay in
+    exact integers, one block of d at a time. Needs x >= 1.
     """
-    return _conv_mean_of(f.values_upto(x), x)
+    m = _length(values, x)
+
+    def terms() -> Iterator[np.ndarray]:
+        for lo, hi in _block_bounds(m):
+            d = np.arange(lo + 1, hi + 1, dtype=np.int64)
+            yield values[lo:hi] * np.floor_divide(m, d, out=d)
+
+    return _exact_total(terms()) / x
 
 
 def ht_u(f: CompletelyMultiplicativeFunction, x: float) -> float:

@@ -9,7 +9,6 @@ from charscan import arith
 from charscan.arith import (
     SearchExhaustedError,
     _apply_plan,
-    _expand_multiplicative,
     _expansion_plan,
     build_spf,
     is_prime,
@@ -251,7 +250,7 @@ class TestExpandMultiplicative:
             prime_vals[1] = 1
             for table in (build_spf(limit), wide_table):
                 v = prime_vals.copy()
-                got = _expand_multiplicative(v, table, limit)
+                got = _apply_plan(_expansion_plan(table, limit), v)
                 want = rounds_expand(prime_vals, table, limit)
                 assert got is v
                 assert got.dtype == want.dtype
@@ -261,7 +260,7 @@ class TestExpandMultiplicative:
 
     def test_undersized_table_rejected(self):
         with pytest.raises(ValueError):
-            _expand_multiplicative(np.ones(101), build_spf(50), 100)
+            _apply_plan(_expansion_plan(build_spf(50), 100), np.ones(101))
         with pytest.raises(ValueError):
             tuple(_expansion_plan(build_spf(50), 100))
 
@@ -302,7 +301,7 @@ class TestExpandMultiplicative:
         rng = np.random.default_rng(block)
         prime_vals = rng.uniform(-1.0, 1.0, size=limit + 1)
         prime_vals[1] = 1.0
-        got = _expand_multiplicative(prime_vals.copy(), table, limit)
+        got = _apply_plan(_expansion_plan(table, limit), prime_vals.copy())
         assert got.tobytes() == rounds_expand(prime_vals, table, limit).tobytes()
         blocks = list(_expansion_plan(table, limit))
         assert max(len(index) for index, _ in blocks) <= block

@@ -73,7 +73,7 @@ class TestPvScan:
             ratios = pv_ratios(profile)
             assert record["max_abs"] == profile.max_abs
             assert record["argmax"] == profile.argmax
-            # pv-scan and max_partial_sum share _legendre_peaks; _walk does not.
+            # pv-scan reads _legendre_peaks; max_partial_sum is a _walk.
             walked = sums._walk(chi, (chi.modulus - 1) // 2)[:2]
             assert walked == (profile.max_abs, profile.argmax)
             assert record["ratio_log"] == pytest.approx(

@@ -29,8 +29,6 @@ from charscan.sums import (
     _SUM_BLOCK,
     CompletelyMultiplicativeFunction,
     _exact_total as sums_exact_total,
-    _log_mean_of,
-    _mean_of,
     _PrimeValues,
     character_log_sum,
     conv_mean,
@@ -267,10 +265,11 @@ class TestLemmaBReport:
     def test_fields_match_primitives(self):
         f = CMF.liouville(100)
         report = lemma_b_report(f, 100)
-        assert report.mean == mean(f, 100)
-        assert report.log_mean == log_mean(f, 100)
+        vals = f.values_upto(100)
+        assert report.mean == mean(vals, 100)
+        assert report.log_mean == log_mean(vals, 100)
         assert report.u == ht_u(f, 100)
-        assert report.conv_mean == conv_mean(f, 100)
+        assert report.conv_mean == conv_mean(vals, 100)
         assert report.gs_bound == gs_bound(report.u, 100)
         assert report.ht_envelope == math.exp(-0.32 * report.u)
         assert report.ht_constant == abs(report.mean) * math.exp(0.32 * report.u)
@@ -346,9 +345,9 @@ def reference_estimate(c, x, trials, seed):
     best, qualifying = None, 0
     for label, f in candidates:
         vals = f.values_upto(x)
-        if abs(_mean_of(vals, x)) >= c:
+        if abs(mean(vals, x)) >= c:
             qualifying += 1
-            value = _log_mean_of(vals, x)
+            value = log_mean(vals, x)
             if best is None or value < best[0]:
                 best = (value, label)
     delta_hat, worst_f = best if best is not None else (None, None)
@@ -368,7 +367,7 @@ class TestEstimateDeltaReference:
         # c equal to a candidate's exact |mean|, or one ulp either side, lies
         # inside every margin: the exact sum has to decide.
         trials = 12
-        means = [abs(_mean_of(f.values_upto(x), x)) for _, f in reference_candidates(x, trials, seed)]
+        means = [abs(mean(f.values_upto(x), x)) for _, f in reference_candidates(x, trials, seed)]
         means = [m for m in means if 0 < m <= 1]
         calls = []
 
@@ -443,7 +442,11 @@ class TestEstimateDelta:
         candidates = [("ones", CMF.ones(m)), ("all_primes_flipped", CMF.liouville(m))]
         candidates += [(f"ones_flipped_at_{p}", CMF.ones(m).flip([p])) for p in (2, 3, 5, 7) if p <= m]
         candidates += [(f"random_{i}", CMF.random(m, rng)) for i in range(trials)]
-        qualifying = [(log_mean(f, x), label) for label, f in candidates if abs(mean(f, x)) >= c]
+        qualifying = []
+        for label, f in candidates:
+            vals = f.values_upto(x)
+            if abs(mean(vals, x)) >= c:
+                qualifying.append((log_mean(vals, x), label))
         best = min(qualifying, key=lambda pair: pair[0], default=(None, None))
         est = estimate_delta(c, x, trials, seed)
         assert est == type(est)(best[0], best[1], len(qualifying), len(candidates))
@@ -504,8 +507,9 @@ class TestCounterexampleSearch:
         hits = counterexample_search(200, 1, 0.9)
         for rec in hits[:5]:
             f = CMF.liouville(200).flip(list(rec.flipped_primes))
-            assert rec.mean_at_N == pytest.approx(mean(f, rec.N), abs=1e-12)
-            assert rec.log_mean_at_N == pytest.approx(log_mean(f, rec.N), abs=1e-12)
+            vals = f.values_upto(rec.N)
+            assert rec.mean_at_N == pytest.approx(mean(vals, rec.N), abs=1e-12)
+            assert rec.log_mean_at_N == pytest.approx(log_mean(vals, rec.N), abs=1e-12)
 
     def test_budget_zero_keeps_only_unperturbed(self):
         hits = counterexample_search(200, 0, 0.9)

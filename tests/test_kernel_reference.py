@@ -161,8 +161,9 @@ def test_max_partial_sum_matches_reference(factors, monkeypatch):
         monkeypatch.setattr(characters, "_BLOCK", size)
         assert walk_samples(chi, points) == sampled, size
         assert max_partial_sum(chi) == expected, size
-        # A prime modulus takes _legendre_peaks once (q-1)/2 fits in a block.
-        assert sums._walk(chi, (chi.modulus - 1) // 2)[:2] == peak, size
+        # max_partial_sum walks every modulus; pv-scan's kernel agrees.
+        if len(chi.factors) == 1:
+            assert list(sums._legendre_peaks(chi.factors)) == [peak], size
 
 
 def test_parities_are_covered():
@@ -199,7 +200,8 @@ def test_long_composite_walk_matches_reference(monkeypatch):
 
 # (23, 7), (71, 11) and (311, 19) peak past (p-1)/2 and late in the walk;
 # (1019, 7) peaks at n = 509 = (p-1)/2. At (3943, 11) with blocks of 7, a
-# stop test made before m_xi covers n <= (p-1)/2 would end the walk too soon.
+# stop test that took m_xi from the values walked so far, instead of from
+# max_partial_sum(xi) before the walk, would end the walk too soon.
 PAIRS = [
     (7, 3), (3, 7), (19, 7), (103, 23), (1019, 7), (23, 1019),
     (23, 7), (71, 11), (311, 19), (3943, 11),
@@ -632,15 +634,15 @@ def walked(monkeypatch):
 
 
 def test_kernel_selection_follows_the_block(monkeypatch, walked):
-    # With _BLOCK = 505, (1009-1)/2 = 504 takes the shared buffers and
-    # (1013-1)/2 = 506 takes _walk, in max_partial_sum and in pv-scan, and
-    # both give the reference peak.
+    # With _BLOCK = 505, pv-scan puts (1009-1)/2 = 504 in its shared buffers
+    # and hands (1013-1)/2 = 506 to _walk; max_partial_sum walks every
+    # modulus. Both give the reference peak.
     monkeypatch.setattr(characters, "_BLOCK", 505)
     for p in (1009, 1019):
         assert max_partial_sum(legendre_character(p)) == reference_profile(
             legendre_character(p)
         )
-    assert walked == [1019]
+    assert walked == [1009, 1019]
     walked.clear()
     primes = [3, 1009, 1013, 1019, 5]
     records = cli._scan_records(primes)
@@ -659,7 +661,21 @@ def test_sample_points_and_composites_stay_on_the_walk(walked):
     burgess_scan(1019, [0.5])
     max_partial_sum(character(3, 7))
     max_partial_sum(legendre_character(1019))
-    assert walked == [1019, 21]
+    assert walked == [1019, 21, 1019]
+
+
+def test_max_partial_sum_at_a_small_prime_holds_no_batch():
+    # One prime walks its (p-1)/2 values. pv-scan's batch buffer of 2^20
+    # values, about 1 MB, serves many primes at once and is not built here.
+    chi = legendre_character(1019)
+    tracemalloc.start()
+    try:
+        profile = max_partial_sum(chi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    assert profile == reference_profile(chi)
 
 
 def test_pv_scan_workers_agree_with_serial(tmp_path, capsys):

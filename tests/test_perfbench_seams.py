@@ -26,10 +26,10 @@ COMMANDS = [
 ]
 
 # Installs the tracer after importing the cli, as perfbench/child.py does,
-# and prints as its last line the absent seams, the metric names and the
-# catalogue of every per-layer metric.
+# and prints as its last line the absent seams, the metric names, the
+# catalogue of every per-layer metric and the number of calls per seam.
 TRACED_RUN = """
-import json, sys
+import collections, json, sys
 sys.path.insert(0, sys.argv[1])
 import tracer
 from charscan import cli
@@ -41,8 +41,9 @@ for run, argv in enumerate(json.loads(sys.argv[2])):
     codes.append(cli.main(argv))
 metrics = tracer.layer_metrics(t.spans, t.absent)
 catalog = [m["name"] for m in tracer.catalog() if m["name"] != tracer.OVERHEAD]
+calls = collections.Counter(tracer.SEAMS[span[0]].name for span in t.spans)
 print(json.dumps({"codes": codes, "absent": t.absent, "metrics": sorted(metrics),
-                  "catalog": catalog}))
+                  "catalog": catalog, "calls": calls}))
 """
 
 
@@ -64,3 +65,9 @@ def test_traced_commands_report_every_per_layer_metric(tmp_path):
     assert result["codes"] == [0] * len(COMMANDS)
     assert result["absent"] == []
     assert result["metrics"] == sorted(result["catalog"])
+    calls = result["calls"]
+    # The means commands read their statistics through the public functions.
+    for seam in ("sums.mean", "sums.log_mean", "sums.conv_mean"):
+        assert calls.get(seam, 0) >= 1, (seam, calls)
+    # Only thm-a peaks a character: once for its lhs, once for m_xi.
+    assert calls.get("sums.max_partial_sum", 0) == 2, calls

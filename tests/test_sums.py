@@ -22,10 +22,7 @@ from charscan.sums import (
     mean,
     partial_sum,
     pv_ratios,
-    _conv_mean_of,
     _exact_sum,
-    _log_mean_of,
-    _mean_of,
     _mean_reaches,
     restricted_log_sum,
 )
@@ -285,38 +282,44 @@ class TestMultiplicativeFunctions:
 class TestMeans:
     def test_ones_mean(self):
         f = CMF.ones(20)
-        assert mean(f, 10) == 1.0
-        assert mean(f, 10.5) == pytest.approx(10 / 10.5, rel=1e-15)
+        assert mean(f.values_upto(10), 10) == 1.0
+        assert mean(f.values_upto(10.5), 10.5) == pytest.approx(10 / 10.5, rel=1e-15)
         with pytest.raises(ValueError):
-            mean(f, 0.9)
+            mean(np.ones(0), 0.9)
 
     def test_ones_log_mean_is_scaled_harmonic(self):
         f = CMF.ones(50)
         for x in (2, 10, 50):
             harmonic = math.fsum(1.0 / n for n in range(1, x + 1))
-            assert log_mean(f, x) == pytest.approx(harmonic / math.log(x), rel=1e-14)
+            assert log_mean(f.values_upto(x), x) == pytest.approx(
+                harmonic / math.log(x), rel=1e-14
+            )
         with pytest.raises(ValueError):
-            log_mean(f, 1.5)
+            log_mean(f.values_upto(1.5), 1.5)
 
     def test_liouville_means_match_brute_force(self):
         f = CMF.liouville(100)
         vals = f.values_upto(100)
-        assert mean(f, 100) == pytest.approx(math.fsum(vals) / 100, rel=1e-15)
+        assert mean(vals, 100) == pytest.approx(math.fsum(vals) / 100, rel=1e-15)
         direct = math.fsum(v / n for n, v in enumerate(vals, start=1))
-        assert log_mean(f, 100) == pytest.approx(direct / math.log(100), rel=1e-14)
+        assert log_mean(vals, 100) == pytest.approx(direct / math.log(100), rel=1e-14)
 
     def test_conv_mean_examples(self):
-        assert conv_mean(CMF.ones(10), 10) == pytest.approx(2.7, rel=1e-15)
+        assert conv_mean(CMF.ones(10).values_upto(10), 10) == pytest.approx(2.7, rel=1e-15)
         # sum over d of mu-free divisor counts, done by brute force
         f = CMF.liouville(50)
-        assert conv_mean(f, 50) == pytest.approx(brute_conv_mean(f, 50), rel=1e-12)
+        assert conv_mean(f.values_upto(50), 50) == pytest.approx(
+            brute_conv_mean(f, 50), rel=1e-12
+        )
 
     @given(st.integers(0, 10**6))
     def test_conv_mean_matches_divisor_oracle(self, seed):
         rng = np.random.default_rng(seed)
         f = CMF.random(60, rng)
         x = float(rng.integers(2, 60))
-        assert conv_mean(f, x) == pytest.approx(brute_conv_mean(f, x), abs=1e-10)
+        assert conv_mean(f.values_upto(x), x) == pytest.approx(
+            brute_conv_mean(f, x), abs=1e-10
+        )
 
     @given(st.integers(0, 10**6))
     def test_conv_mean_tracks_log_mean(self, seed):
@@ -326,8 +329,17 @@ class TestMeans:
         rng = np.random.default_rng(seed)
         f = CMF.random(500, rng)
         for x in (10.0, 100.0, 500.0):
-            gap = abs(log_mean(f, x) * math.log(x) - conv_mean(f, x))
+            vals = f.values_upto(x)
+            gap = abs(log_mean(vals, x) * math.log(x) - conv_mean(vals, x))
             assert gap <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("statistic", [mean, log_mean, conv_mean])
+    def test_values_must_have_floor_x_entries(self, statistic):
+        vals = CMF.random(100, np.random.default_rng(4)).values_upto(100)
+        statistic(vals, 100.999)  # floor(x) = 100 values: accepted
+        for values, x in ((vals, 99), (vals, 101), (vals[:-1], 100)):
+            with pytest.raises(ValueError, match="values must hold"):
+                statistic(values, x)
 
 
 class TestExactSum:
@@ -427,7 +439,7 @@ class TestMeanReaches:
         monkeypatch.setattr(sums, "_exact_sum", counting_sum)
         x = 10**5
         vals = CMF.random(x, np.random.default_rng(5)).values_upto(x)
-        m = abs(_mean_of(vals, x))
+        m = abs(mean(vals, x))
         scratch = np.empty(x)
         calls.clear()
         assert _mean_reaches(vals, x, 0.1, scratch) == (m >= 0.1)
@@ -485,14 +497,14 @@ class TestBlockedReductions:
         for (n, x), (total, log_m, conv_m) in zip(cases, want):
             vals = vals_of[n]
             assert _exact_sum(vals) == total == math.fsum(vals), (n, x)
-            assert _log_mean_of(vals, x) == log_m, (n, x)
-            assert _conv_mean_of(vals, x) == conv_m, (n, x)
+            assert log_mean(vals, x) == log_m, (n, x)
+            assert conv_mean(vals, x) == conv_m, (n, x)
 
     def test_means_match_the_whole_array_routes(self, f):
         for x in (2, 3, 1000.5, 2**16 + 1, 2**17 + 1):
             vals = f.values_upto(x)
-            assert log_mean(f, x) == whole_log_sum(vals) / math.log(x)
-            assert conv_mean(f, x) == whole_conv_sum(vals) / x
+            assert log_mean(vals, x) == whole_log_sum(vals) / math.log(x)
+            assert conv_mean(vals, x) == whole_conv_sum(vals) / x
 
 
 class TestNonFiniteX:
@@ -502,9 +514,10 @@ class TestNonFiniteX:
             raise AssertionError("a sieve ran for a non-finite x")
 
         f = CMF.random(100, np.random.default_rng(2))
+        vals = f.values_upto(100)
         monkeypatch.setattr(sums, "build_spf", no_sieve)
-        for call in (f.values_upto, lambda x: mean(f, x), lambda x: log_mean(f, x),
-                     lambda x: conv_mean(f, x), lambda x: ht_u(f, x)):
+        for call in (f.values_upto, lambda x: mean(vals, x), lambda x: log_mean(vals, x),
+                     lambda x: conv_mean(vals, x), lambda x: ht_u(f, x)):
             with pytest.raises(ValueError, match="x must be a finite number"):
                 call(bad)
 

@@ -12,7 +12,10 @@ perfbench runs:
     python3 tools/bench_snapshot.py TAG
 
 git_commit is the HEAD the run saw, so runs of an uncommitted change name
-the commit it is based on.
+the commit it is based on. Only records taken at the current HEAD are
+copied; each other record is named on stderr and skipped, so runs left from
+an earlier commit never reach the snapshot. With no record left, the script
+exits 1.
 """
 
 import argparse
@@ -21,13 +24,36 @@ import sys
 from pathlib import Path
 
 RECORDS = Path(".perfbench") / "records"
+GIT = Path(".git")
 
 
-def snapshot(records: Path) -> list[dict]:
-    """The copied fields of each untraced record, ordered by workload and seed."""
+def head_commit(git: Path) -> str | None:
+    """HEAD read as perfbench/run.py records it: HEAD, its ref file, packed-refs."""
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head
+        ref = head.removeprefix("ref: ")
+        if (git / ref).is_file():
+            return (git / ref).read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0]
+    except OSError:
+        pass
+    return None
+
+
+def snapshot(records: Path, head: str) -> list[dict]:
+    """The copied fields of each untraced record taken at head, ordered by
+    workload and seed; every other record is named on stderr."""
     rows = []
-    for path in records.glob("*-trace0.json"):
+    for path in sorted(records.glob("*-trace0.json")):
         record = json.loads(path.read_text(encoding="utf-8"))
+        commit = record["environment"]["git_commit"]
+        if commit != head:
+            print(f"bench_snapshot: skipped {path.name}, taken at {commit}", file=sys.stderr)
+            continue
         rows.append(
             {
                 "workload": record["workload"],
@@ -36,7 +62,7 @@ def snapshot(records: Path) -> list[dict]:
                 "digest": record["digest"],
                 "attempted": record["attempted"],
                 "failed": record["failed"],
-                "git_commit": record["environment"]["git_commit"],
+                "git_commit": commit,
             }
         )
     return sorted(rows, key=lambda row: (row["workload"], row["seed"]))
@@ -46,9 +72,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tag", help="the output file is BENCH_<tag>.json")
     args = parser.parse_args(argv)
-    rows = snapshot(RECORDS)
+    head = head_commit(GIT)
+    if head is None:
+        print(f"bench_snapshot: cannot read HEAD from {GIT}", file=sys.stderr)
+        return 1
+    rows = snapshot(RECORDS, head)
     if not rows:
-        print(f"bench_snapshot: no *-trace0.json records in {RECORDS}", file=sys.stderr)
+        print(
+            f"bench_snapshot: no *-trace0.json records at {head} in {RECORDS}",
+            file=sys.stderr,
+        )
         return 1
     out = Path(f"BENCH_{args.tag}.json")
     payload = {"tag": args.tag, "records": rows}
