@@ -1,15 +1,17 @@
 """Exact number-theoretic kernels: sieves, factor tables, quadratic symbols.
 
-Everything in this module is integer arithmetic. The smallest-prime-factor
-table is the workhorse for bulk evaluation of completely multiplicative
-sequences (values on primes extended to all n by peeling smallest prime
-factors), and the reciprocity-based symbol is the point-query primitive
-behind every character evaluation.
+Everything in this module is integer arithmetic. Bulk evaluation of
+completely multiplicative sequences extends values on primes to all n by
+peeling smallest prime factors, which the expansion plan sieves block by
+block, so no whole-range factor table is held; build_spf tabulates the same
+factors for callers that want the table itself. The reciprocity-based
+symbol is the point-query primitive behind every character evaluation.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -82,7 +84,7 @@ def sieve_primes(limit: int) -> np.ndarray:
     for p in range(2, math.isqrt(limit) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+    return np.flatnonzero(mask).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,6 +110,9 @@ class SpfTable:
 
 def build_spf(limit: int) -> SpfTable:
     """Sieve the smallest prime factor of every n up to limit.
+
+    The public tabulation API, and the tests' reference for the expansion
+    plan, which sieves its own blocks; no library route builds this table.
 
     Args:
         limit: Table capacity, at least 2. Memory is 4 bytes per integer.
@@ -152,26 +157,29 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def _expansion_plan(
-    table: SpfTable, limit: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _expansion_plan(limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Index arithmetic of the smallest-factor expansion over 1 <= n <= limit.
 
     Yields one (index, cofactor) pair of intp arrays per block lo <= n < hi
     of n >= 2, in order, where hi <= 2 lo and hi - lo <= _PLAN_BLOCK. index
     is spf(n) and cofactor is n // spf(n); both locate values in a buffer
     indexed by n. They are intp because numpy gathers with any other index
-    type several times slower. The blocks are computed lazily, so one
-    expansion never holds them all; tuple() keeps a plan for reuse across
-    functions.
+    type several times slower. Each block sieves its own spf from the primes
+    p <= sqrt(hi - 1), so no length-limit table is held: every multiple of
+    p from max(p*p, lo) on gets p, in decreasing p so that the least prime
+    factor is written last, and the entries left 0 are the primes, which
+    are their own spf. The blocks are computed lazily, so one expansion
+    never holds them all; tuple() keeps a plan for reuse across functions.
     """
-    table.require(limit)
-    spf = table.spf
+    primes = sieve_primes(math.isqrt(limit)).tolist()
     lo = 2
     while lo <= limit:
         hi = min(2 * lo, lo + _PLAN_BLOCK, limit + 1)
-        index = spf[lo:hi].astype(np.intp)
+        index = np.zeros(hi - lo, dtype=np.intp)
+        for p in reversed(primes[: bisect_right(primes, math.isqrt(hi - 1))]):
+            index[max(p * p, -(-lo // p) * p) - lo :: p] = p
         cofactor = np.arange(lo, hi, dtype=np.intp)
+        np.copyto(index, cofactor, where=index == 0)
         cofactor //= index
         yield index, cofactor
         lo = hi
@@ -209,7 +217,7 @@ def liouville(limit: int) -> np.ndarray:
     if limit == 1:
         return np.ones(1, dtype=np.int8)
     v = np.full(limit + 1, -1, dtype=np.int8)
-    return _apply_plan(_expansion_plan(build_spf(limit), limit), v)[1:]
+    return _apply_plan(_expansion_plan(limit), v)[1:]
 
 
 def smallest_prime_above(

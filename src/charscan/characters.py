@@ -125,21 +125,27 @@ def _square_residues(
 def _legendre_value_table(p: int) -> np.ndarray:
     """(a/p) for 0 <= a < p, built by marking the nonzero squares mod p.
 
-    The squares are reduced _RESIDUE_SLICE at a time, intp ones in place,
-    so the build holds no more than the squares, the table and one slice of
-    scratch: at p near 1.6e6, two more arrays of (p-1)/2 intp values would
-    add about 13 MB to a thm-a run's peak.
+    The squares k*k, 1 <= k <= (p-1)/2, are made and reduced _RESIDUE_SLICE
+    at a time in reused buffers (uint32 while (p-1)/2 <= _U32_ROOT, else
+    intp, reduced in place) and scattered into the table slice by slice, so
+    the build holds the table and a few slices of scratch, never all
+    (p-1)/2 squares: at p near 1.6e6 those would add about 6.5 MB of intp
+    to a thm-a run's peak.
     """
-    squares = _squares((p - 1) // 2)
-    half = len(squares)
-    residues = squares if squares.dtype == np.intp else np.empty(half, dtype=np.intp)
-    quotient = np.empty(min(half, _RESIDUE_SLICE), dtype=squares.dtype)
-    for lo in range(0, half, _RESIDUE_SLICE):
-        hi = min(lo + _RESIDUE_SLICE, half)
-        _square_residues(squares[lo:hi], p, quotient[: hi - lo], residues[lo:hi])
+    half = (p - 1) // 2
+    width = min(half, _RESIDUE_SLICE)
+    dtype = np.uint32 if half <= _U32_ROOT else np.intp
+    steps = np.arange(1, width + 1, dtype=dtype)
+    squares = np.empty(width, dtype=dtype)
+    quotient = np.empty(width, dtype=dtype)
+    residues = squares if dtype == np.intp else np.empty(width, dtype=np.intp)
     tab = np.full(p, -1, dtype=np.int8)
     tab[0] = 0
-    tab[residues] = 1
+    for lo in range(0, half, _RESIDUE_SLICE):
+        n = min(_RESIDUE_SLICE, half - lo)
+        k = np.add(steps[:n], lo, out=squares[:n])
+        k *= k
+        tab[_square_residues(k, p, quotient[:n], residues[:n])] = 1
     return tab
 
 

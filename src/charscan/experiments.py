@@ -23,7 +23,6 @@ import numpy as np
 from .arith import (
     _apply_plan,
     _expansion_plan,
-    build_spf,
     is_prime,
     kronecker,
     liouville,
@@ -400,7 +399,7 @@ def estimate_delta(c: float, x: float, trials: int, seed: int) -> DeltaEstimate:
     # One plan, one buffer and one scratch array serve every candidate; each
     # candidate is its array of values on primes, aligned with primes.
     primes = sieve_primes(m)
-    plan = tuple(_expansion_plan(build_spf(m), m))
+    plan = tuple(_expansion_plan(m))
     v = np.empty(m + 1)
     vals = v[1:]
     scratch = np.empty(m)

@@ -9,7 +9,8 @@ mathematics rather than the summation order.
 
 A completely multiplicative function stores its prime values once, as a
 float64 array aligned with sieve_primes(limit). Each values_upto call sieves
-its own factor table. The statistics mean, log_mean and conv_mean take that
+smallest prime factors block by block as it expands, with no whole-range
+factor table. The statistics mean, log_mean and conv_mean take that
 expanded array, values = f.values_upto(x), so a caller reads several
 statistics of one (f, x) from one expansion.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import _apply_plan, _expansion_plan, build_spf, is_prime, sieve_primes
+from .arith import _apply_plan, _expansion_plan, is_prime, sieve_primes
 from . import characters
 from .characters import (
     _U32_ROOT,
@@ -214,7 +215,7 @@ class CompletelyMultiplicativeFunction:
 
         The result is a view of one length floor(x) + 1 buffer indexed by n,
         expanded in place from f's values scattered onto the primes by one
-        smallest-prime-factor table sieved for this call.
+        expansion plan, whose blocks sieve their own smallest prime factors.
         """
         m = _floor_finite(x)
         if m < 1:
@@ -226,7 +227,7 @@ class CompletelyMultiplicativeFunction:
         k = np.searchsorted(self.primes, m, side="right")
         v = np.empty(m + 1)
         v[self.primes[:k]] = self.values[:k]
-        return _apply_plan(_expansion_plan(build_spf(m), m), v)[1:]
+        return _apply_plan(_expansion_plan(m), v)[1:]
 
 
 @dataclass(frozen=True)

@@ -111,10 +111,14 @@ class TestSievePrimes:
         assert list(sieve_primes(1)) == []
         assert list(sieve_primes(0)) == []
         assert list(sieve_primes(2)) == [2]
+        for limit in (0, 1, 2, 10):
+            assert sieve_primes(limit).dtype == np.int64
 
     def test_against_trial_division(self):
-        assert list(sieve_primes(10**4)) == trial_primes(10**4)
-        assert len(sieve_primes(10**4)) == 1229
+        primes = sieve_primes(10**4)
+        assert primes.dtype == np.int64
+        assert primes.tolist() == trial_primes(10**4)
+        assert len(primes) == 1229
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -233,11 +237,35 @@ EXPANSION_LIMITS = sorted(
     | {2**k + d for k in (2, 3, 4, 7, 12, 16) for d in (-1, 0, 1)}
 )
 
+# p*p - 1, p*p and p*p + 1 for primes p next to sqrt(2**16) and sqrt(2**17):
+# the last block ends just before, at or just after the first multiple that
+# p marks, around the block edges 2**16 and 2**17.
+SQUARE_EDGE_LIMITS = [p * p + d for p in (251, 257, 359, 367) for d in (-1, 0, 1)]
+
+
+def assert_plan_matches_table(limit):
+    """Each plan block is (spf[lo:hi], n // spf[lo:hi]) of build_spf, over
+    the blocks lo <= n < hi with hi = min(2 lo, lo + _PLAN_BLOCK, limit + 1)."""
+    spf = build_spf(max(limit, 2)).spf
+    lo = 2
+    for index, cofactor in _expansion_plan(limit):
+        hi = min(2 * lo, lo + arith._PLAN_BLOCK, limit + 1)
+        want = spf[lo:hi].astype(np.intp)
+        assert index.dtype == cofactor.dtype == np.intp
+        assert index.tobytes() == want.tobytes(), (limit, lo)
+        assert cofactor.tobytes() == (np.arange(lo, hi) // want).tobytes(), (limit, lo)
+        lo = hi
+    assert lo == limit + 1
+
 
 class TestExpandMultiplicative:
     @pytest.fixture(scope="class")
     def wide_table(self):
         return build_spf(10**5 + 1)
+
+    @pytest.mark.parametrize("limit", EXPANSION_LIMITS + SQUARE_EDGE_LIMITS)
+    def test_plan_matches_the_spf_table(self, limit):
+        assert_plan_matches_table(limit)
 
     @pytest.mark.parametrize("limit", EXPANSION_LIMITS)
     def test_matches_rounds_reference(self, limit, wide_table):
@@ -248,21 +276,15 @@ class TestExpandMultiplicative:
         signs = rng.integers(-1, 2, size=limit + 1).astype(np.int8)
         for prime_vals in (floats, signs):
             prime_vals[1] = 1
+            v = prime_vals.copy()
+            got = _apply_plan(_expansion_plan(limit), v)
+            assert got is v
             for table in (build_spf(limit), wide_table):
-                v = prime_vals.copy()
-                got = _apply_plan(_expansion_plan(table, limit), v)
                 want = rounds_expand(prime_vals, table, limit)
-                assert got is v
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes(), (limit, prime_vals.dtype)
                 by_rank = rank_expand(prime_vals, table, limit)
                 assert got[1:].tobytes() == by_rank.tobytes(), (limit, prime_vals.dtype)
-
-    def test_undersized_table_rejected(self):
-        with pytest.raises(ValueError):
-            _apply_plan(_expansion_plan(build_spf(50), 100), np.ones(101))
-        with pytest.raises(ValueError):
-            tuple(_expansion_plan(build_spf(50), 100))
 
     @pytest.mark.parametrize("limit", [2, 3, 1000, 4097, 10**5])
     def test_one_plan_refills_one_buffer(self, limit, wide_table):
@@ -270,7 +292,7 @@ class TestExpandMultiplicative:
         # indexed by n; a stale entry from an earlier function would show as
         # a mismatch with the rounds and with the rank route.
         primes = sieve_primes(limit)
-        plan = tuple(_expansion_plan(wide_table, limit))
+        plan = tuple(_expansion_plan(limit))
         by_rank = tuple(rank_plan(wide_table, limit, primes))
         rng = np.random.default_rng(limit)
         v = np.full(limit + 1, np.nan)
@@ -301,11 +323,13 @@ class TestExpandMultiplicative:
         rng = np.random.default_rng(block)
         prime_vals = rng.uniform(-1.0, 1.0, size=limit + 1)
         prime_vals[1] = 1.0
-        got = _apply_plan(_expansion_plan(table, limit), prime_vals.copy())
+        got = _apply_plan(_expansion_plan(limit), prime_vals.copy())
         assert got.tobytes() == rounds_expand(prime_vals, table, limit).tobytes()
-        blocks = list(_expansion_plan(table, limit))
+        blocks = list(_expansion_plan(limit))
         assert max(len(index) for index, _ in blocks) <= block
         assert sum(len(index) for index, _ in blocks) == limit - 1
+        for edge in (limit, 48, 49, 50, 120, 121, 122):
+            assert_plan_matches_table(edge)
 
     def test_plan_positions(self):
         # index is spf(n) and cofactor n // spf(n), both positions by n; the
@@ -314,8 +338,8 @@ class TestExpandMultiplicative:
         limit = 300
         table = build_spf(limit)
         primes = sieve_primes(limit).tolist()
-        index = np.concatenate([i for i, _ in _expansion_plan(table, limit)])
-        cofactor = np.concatenate([c for _, c in _expansion_plan(table, limit)])
+        index = np.concatenate([i for i, _ in _expansion_plan(limit)])
+        cofactor = np.concatenate([c for _, c in _expansion_plan(limit)])
         rank_blocks = list(rank_plan(table, limit, np.array(primes)))
         rank_index = np.concatenate([i for i, _ in rank_blocks])
         rank_cofactor = np.concatenate([c for _, c in rank_blocks])

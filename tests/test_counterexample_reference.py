@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from charscan import arith, cli
-from charscan.arith import build_spf, liouville
+from charscan import cli
+from charscan.arith import liouville
 from charscan.cli import main
 from charscan.experiments import (
     _FLIP_POOL,
@@ -343,11 +343,9 @@ class TestMemory:
 
     X_MAX = 3000
 
-    def test_search_peak_is_about_its_hits(self, monkeypatch):
-        # The spf table is sieved before tracing starts, so the peak counts
-        # the search, not the table its liouville call needs.
-        table = build_spf(self.X_MAX)
-        monkeypatch.setattr(arith, "build_spf", lambda limit: table)
+    def test_search_peak_is_about_its_hits(self):
+        # The peak counts the search and the expansion of its liouville
+        # call, factor sieve included.
         found = []
         peak = traced_peak(
             lambda: found.append(counterexample_search(self.X_MAX, 2, 0.5))

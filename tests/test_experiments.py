@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from charscan import arith, characters, experiments, sums
-from charscan.arith import build_spf, is_prime, liouville, sieve_primes
+from charscan.arith import _expansion_plan, is_prime, liouville, sieve_primes
 from charscan.characters import evaluate, legendre_character, product_character
 from charscan.experiments import (
     DeltaEstimate,
@@ -288,13 +288,11 @@ class TestLemmaBReport:
         with pytest.raises(TypeError):
             lemma_b_report(CMF.ones(150), 150, 200)
 
-    def test_peak_memory_is_the_values_plus_a_few_blocks(self, monkeypatch):
-        # Past f's values and the table, the report holds one float64 value
-        # per n and block-sized temporaries; no other length-x array. The
-        # table is sieved before tracing starts, so the peak leaves it out.
+    def test_peak_memory_is_the_values_plus_a_few_blocks(self):
+        # Past f's values, the report holds one float64 value per n and
+        # block-sized temporaries, the factor sieve's included; no other
+        # length-x array.
         x = 2**20
-        table = build_spf(x)
-        monkeypatch.setattr(sums, "build_spf", lambda limit: table)
         f = CMF.random(x, np.random.default_rng(3))
         tracemalloc.start()
         try:
@@ -472,7 +470,7 @@ class TestEstimateDelta:
             raise AssertionError("a sieve ran for a non-finite x")
 
         monkeypatch.setattr(experiments, "sieve_primes", no_sieve)
-        monkeypatch.setattr(experiments, "build_spf", no_sieve)
+        monkeypatch.setattr(experiments, "_expansion_plan", no_sieve)
         with pytest.raises(ValueError, match="x must be a finite number"):
             estimate_delta(0.1, bad, 5, seed=0)
 
@@ -558,18 +556,23 @@ class TestCounterexampleSearch:
          "estimate_delta"],
 )
 def test_one_spf_sieve_per_call(call, limit, monkeypatch):
-    # No caller can hand in a table, so each call sieves its own, and only
-    # one, whichever module's binding it reaches build_spf through.
-    sieved = []
+    # Each call runs one expansion plan, which sieves its blocks as it goes;
+    # no library route builds a length-limit factor table with build_spf,
+    # the tabulation API and the tests' reference.
+    plans = []
 
     def counting(n):
-        sieved.append(n)
-        return build_spf(n)
+        plans.append(n)
+        return _expansion_plan(n)
+
+    def no_table(n):
+        raise AssertionError(f"a length-{n} factor table was built")
 
     for module in (arith, sums, experiments):
-        monkeypatch.setattr(module, "build_spf", counting)
+        monkeypatch.setattr(module, "_expansion_plan", counting)
+        monkeypatch.setattr(module, "build_spf", no_table, raising=False)
     call()
-    assert sieved == [limit]
+    assert plans == [limit]
 
 
 class TestLeastNonresidue:

@@ -496,6 +496,7 @@ def test_paste_peaks_match_whole_array_cumsum(p, ell):
 # prime modulus. One call walks every prime through the same buffers, so a
 # value left over from an earlier prime would show as a wrong peak.
 ODD_PRIMES = [int(p) for p in sieve_primes(3000)[1:]]
+ODD_PRIMES_BELOW_1E5 = [int(p) for p in sieve_primes(10**5)[1:]]
 # (p-1)/2 = 65535 is the last half whose squares fit in uint32; 131101 is the
 # next prime, so its squares come from the intp copy.
 PAST_THE_SWITCH = [131071, 131101]
@@ -537,6 +538,40 @@ def test_square_residues_at_the_uint32_switch(half):
     characters._square_residues(squares, m, np.empty_like(squares), out)
     k = np.arange(1, half + 1, dtype=object)
     assert out.tolist() == (k * k % m).tolist()
+
+
+def whole_squares_table(p):
+    """(a/p) for 0 <= a < p by the former route: all (p-1)/2 squares at once,
+    reduced by %, scattered in one go."""
+    k = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
+    table = np.full(p, -1, dtype=np.int8)
+    table[0] = 0
+    table[k * k % p] = 1
+    return table
+
+
+# Either side of 2*10^6, where the table is built in about 61 slices.
+NEAR_2E6 = [1999957, 1999969, 1999979, 1999993, 2000003, 2000029, 2000039]
+
+
+def test_sliced_tables_match_the_whole_squares_route():
+    for p in ODD_PRIMES_BELOW_1E5 + NEAR_2E6:
+        got = characters._legendre_value_table(p)
+        assert got.dtype == np.int8
+        assert got.tobytes() == whole_squares_table(p).tobytes(), p
+
+
+@pytest.mark.parametrize("p", [131071, 131101, 2000003])
+def test_table_build_holds_the_table_and_a_few_slices(p):
+    # uint32 and intp squares; all (p-1)/2 of them at once would be 2p or
+    # 4p bytes more.
+    tracemalloc.start()
+    try:
+        characters._legendre_value_table(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p + 4 * 8 * characters._RESIDUE_SLICE
 
 
 # The batches of _legendre_peaks: one chunk, two chunks, 1000 values (not a

@@ -515,7 +515,8 @@ class TestNonFiniteX:
 
         f = CMF.random(100, np.random.default_rng(2))
         vals = f.values_upto(100)
-        monkeypatch.setattr(sums, "build_spf", no_sieve)
+        monkeypatch.setattr(sums, "sieve_primes", no_sieve)
+        monkeypatch.setattr(sums, "_expansion_plan", no_sieve)
         for call in (f.values_upto, lambda x: mean(vals, x), lambda x: log_mean(vals, x),
                      lambda x: conv_mean(vals, x), lambda x: ht_u(f, x)):
             with pytest.raises(ValueError, match="x must be a finite number"):
