@@ -100,13 +100,6 @@ class SpfTable:
     limit: int
     spf: np.ndarray
 
-    def require(self, needed: int) -> None:
-        """Reject use beyond capacity instead of degrading to point queries."""
-        if needed > self.limit:
-            raise ValueError(
-                f"table covers n <= {self.limit} but n <= {needed} is needed"
-            )
-
 
 def build_spf(limit: int) -> SpfTable:
     """Sieve the smallest prime factor of every n up to limit.

@@ -410,8 +410,8 @@ def _cmd_pv_scan(args: argparse.Namespace) -> int:
         todo = [p for p in targets if args.force or (p, "legendre") not in by_key]
         new_records: list[dict] = []
         if todo:
-            if args.workers > 1:
-                n = args.workers
+            n = min(args.workers, len(todo))  # no worker without a conductor
+            if n > 1:
                 new_records = [{}] * len(todo)
                 with ThreadPoolExecutor(max_workers=n) as pool:
                     parts = pool.map(_scan_records, [todo[i::n] for i in range(n)])

@@ -66,12 +66,11 @@ _EXP_OFFSET = 1074
 _SUM_SCALE = 1 << (_EXP_OFFSET + 53)
 # Unit roundoff of float64, for the error bound of _mean_reaches.
 _UNIT_ROUNDOFF = 2.0**-53
-# _walk splits each block of character values into chunks of this many
-# values: chunk sums first, then a full rescan of the chunks that can hold
-# the peak.
+# _segment_peaks sums chunks of values first, then sums out value by value
+# only the chunks that can hold the peak. _walk's chunks hold _CHUNK values.
 _CHUNK = 256
-# _legendre_peaks packs its primes into batches of this many values, which
-# _batch_peaks sums in chunks of _BATCH_CHUNK values.
+# _legendre_peaks packs its primes into batches of this many values, in
+# chunks of _BATCH_CHUNK values.
 _BATCH = 1 << 20
 _BATCH_CHUNK = 64
 
@@ -288,35 +287,6 @@ def partial_sum(chi: QuadraticCharacter, t: float) -> int:
     return sum(evaluate(chi, n) for n in range(1, m + 1))
 
 
-def _chunk_heads(block: np.ndarray, carry: int) -> np.ndarray:
-    """S at the first edge of each whole chunk of a block, then at its tail.
-
-    Entry k is carry plus the values of the first k chunks of _CHUNK values;
-    the last entry is where the tail of the block begins. A block of fewer
-    than _CHUNK**2 values is all tail, with no chunks. On such short walks
-    the partial sums rarely clear the chunk bound of _block_peak by much:
-    measured when pv-scan still walked here, chunking rescanned every chunk
-    below p = 1e4 and 45% of them at 5e4 < p < 1.2e5, and perfbench's scan
-    workload ran 8-18% slower. pv-scan's primes go to _legendre_peaks,
-    which pays its own chunk pass once per batch of many primes, not once
-    per prime. Short blocks here come from max_partial_sum at moduli below
-    2 _CHUNK**2 (xi's peak in verify_lemma_bg at such p too), from walks to
-    requested points (burgess_scan), and from the last block of every walk.
-    The heads are exact int64. Each chunk sum, at most _CHUNK < 2^15 in
-    magnitude, is taken in int16, which numpy reduces about twice as fast
-    as int32.
-    """
-    n = len(block)
-    whole = n // _CHUNK if n >= _CHUNK * _CHUNK else 0
-    heads = np.empty(whole + 1, dtype=np.int64)
-    heads[0] = carry
-    if whole:
-        body = block[: whole * _CHUNK].reshape(whole, _CHUNK)
-        heads[1:] = body.sum(axis=1, dtype=np.int16)
-        np.cumsum(heads, out=heads)
-    return heads
-
-
 def _chunk_bounds(begins: np.ndarray, ends: np.ndarray, width: int) -> np.ndarray:
     """Upper bound on |S| inside each chunk of width values, from |S| at its edges.
 
@@ -326,44 +296,55 @@ def _chunk_bounds(begins: np.ndarray, ends: np.ndarray, width: int) -> np.ndarra
     return (begins + ends + width) // 2
 
 
-def _block_peak(
-    block: np.ndarray, heads: np.ndarray, floor: int, dtype
-) -> tuple[int, int, int]:
-    """Peak of |S| over a block, its first offset, and S at the block's end.
+def _segment_peaks(
+    body: np.ndarray, lengths: Sequence[int], carries: Sequence[int], floor: int
+) -> tuple[list[int], list[int], list[int]]:
+    """Peak of |S|, its first maximizer and S at the end, for each segment of body.
 
-    The peak is exact when it exceeds floor, and at most floor otherwise.
-    heads are the block's _chunk_heads. With L the larger of floor and the
-    largest |S| at a chunk edge, only the chunks whose _chunk_bounds reach L
-    can hold a value above floor. Those are summed out in full, in ascending
-    order, and then the tail, with running sums in dtype; the first largest
-    value wins, so ties keep the first offset.
+    body is a (chunks, width) int8 array of segments laid back to back, each
+    zero-padded to lengths[k] whole chunks; S runs over segment k from
+    carries[k]. One sum per chunk and one cumsum give S at every chunk edge.
+    Only the chunks whose _chunk_bounds reach the larger of floor and their
+    segment's largest |S| at an edge are summed out value by value,
+    ascending; no other chunk can hold a |S| above both, so a peak above
+    floor is exact. Otherwise it is at most floor, and -1 with maximizer 0
+    when no chunk of the segment is summed out. The first maximizer wins, as
+    an offset from 1 within the segment; the padding keeps S at its last
+    value, so it never holds the first. Edges and running sums are int32
+    while twice the largest |S| or floor, plus a width, stays below 2^31,
+    since a bound adds two edges; int64 beyond.
     """
-    whole = len(heads) - 1
-    cut = whole * _CHUNK
-    peak, first, end = -1, 0, int(heads[-1])
-    if whole:
-        edges = np.abs(heads)
-        level = max(floor, int(edges[1:].max()))
-        bounds = _chunk_bounds(edges[:-1], edges[1:], _CHUNK)
-        chunks = np.flatnonzero(bounds >= level)
-        if len(chunks):
-            rows = block[:cut].reshape(whole, _CHUNK)[chunks]
-            running = np.cumsum(rows, axis=1, dtype=dtype)
-            running += heads[chunks, None].astype(dtype)
-            np.abs(running, out=running)
-            i = int(np.argmax(running))  # argmax returns the first maximizer
-            row, col = divmod(i, _CHUNK)
-            peak, first = int(running[row, col]), int(chunks[row]) * _CHUNK + col
-    if cut < len(block):
-        running = np.cumsum(block[cut:], dtype=dtype)
-        if end:
-            running += end
-        end = int(running[-1])
-        np.abs(running, out=running)
-        i = int(np.argmax(running))
-        if running[i] > peak:
-            peak, first = int(running[i]), cut + i
-    return peak, first, end
+    count, width = len(lengths), body.shape[1]
+    # |S| <= reach; a bound adds two edges and a width
+    reach = max(floor, max(map(abs, carries))) + body.size
+    dtype = np.int32 if 2 * reach + width < 2**31 else np.int64
+    carries = np.asarray(carries, dtype=dtype)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    starts = lengths.cumsum() - lengths
+    # |sum| <= width < 2^15; numpy reduces int16 about twice as fast as int32
+    sums = body.sum(axis=1, dtype=np.int16)
+    ends = sums.cumsum(dtype=dtype)  # S at each chunk's last edge
+    ends += (carries - ends[starts] + sums[starts]).repeat(lengths)  # restart
+    tops = np.abs(ends)
+    level = np.maximum(np.maximum.reduceat(tops, starts), floor)
+    bounds = _chunk_bounds(np.abs(ends - sums), tops, width)
+    chunks = (bounds >= level.repeat(lengths)).nonzero()[0]
+    if not len(chunks):  # no chunk can hold a |S| above floor
+        return [-1] * count, [0] * count, ends[starts + lengths - 1].tolist()
+    rows = body[chunks].cumsum(axis=1, dtype=dtype)
+    rows += (ends[chunks] - sums[chunks])[:, None]  # S before each chunk
+    np.abs(rows, out=rows)
+    cols = rows.argmax(axis=1)  # argmax returns the first maximizer
+    row_peaks = rows.max(axis=1)
+    segment = starts.searchsorted(chunks, side="right") - 1
+    peaks = np.full(count, -1, dtype=dtype)
+    np.maximum.at(peaks, segment, row_peaks)
+    hits = (row_peaks == peaks[segment]).nonzero()[0]
+    found = (peaks >= 0).nonzero()[0]  # the segments with a row summed out
+    hits = hits[segment[hits].searchsorted(found)]  # the first of each
+    maximizers = np.zeros(count, dtype=np.intp)
+    maximizers[found] = (chunks[hits] - starts[found]) * width + cols[hits] + 1
+    return peaks.tolist(), maximizers.tolist(), ends[starts + lengths - 1].tolist()
 
 
 def _walk(
@@ -373,25 +354,20 @@ def _walk(
 
     Returns the peak of |S(n)|, its first maximizer, and S(m) for each m in
     points (0 <= m <= limit, with S(0) = 0). Each block of _value_blocks is
-    walked in two exact passes. The coarse pass sums the block's chunks of
-    _CHUNK values and carries the sums, so S is known at every chunk edge
-    (_chunk_heads). The fine pass sums out value by value only the chunks
-    whose bound (|b| + |e| + _CHUNK) // 2, from S = b and S = e at their
-    edges, reaches the larger of the peak so far and the largest |S| at an
-    edge, and then the tail after the last whole chunk (_block_peak); no
-    other chunk can hold a larger |S|. A block of fewer than _CHUNK**2
-    values is all tail (_chunk_heads gives the measured reason). Points are
-    read from one cumsum of the block up to the furthest point in it, plus
-    the carry. Running sums are int32 while limit < 2^31 (|S(n)| <= n). A
-    block's maximizer replaces the current one only when strictly larger,
-    and within a block the first maximizer wins, so ties keep the smallest n.
+    one segment of _segment_peaks in chunks of _CHUNK values, carried from
+    S so far, with the peak so far as its floor: only the chunks that can
+    hold a larger |S| are summed out value by value. The whole chunks are a
+    view of the block; a last partial chunk is copied, zero-padded, as a
+    segment of its own. Points are read from one cumsum of the block up to
+    the furthest point in it, plus the carry. A segment's maximizer
+    replaces the current one only when strictly larger, and within a
+    segment the first maximizer wins, so ties keep the smallest n.
     """
-    dtype = np.int32 if limit < 2**31 else np.int64
+    width = _CHUNK
     wanted = np.asarray(points, dtype=np.int64)
     found = np.zeros(len(wanted), dtype=np.int64)
     peak, first, carry, start = -1, 0, 0, 1
     for block in _value_blocks(chi, limit):
-        heads = _chunk_heads(block, carry)
         end = start + len(block)
         if len(wanted):
             inside = (wanted >= start) & (wanted < end)
@@ -399,51 +375,20 @@ def _walk(
                 offsets = wanted[inside] - start
                 running = np.cumsum(block[: offsets.max() + 1], dtype=np.int64)
                 found[inside] = running[offsets] + carry
-        value, i, carry = _block_peak(block, heads, peak, dtype)
-        if value > peak:
-            peak, first = value, start + i
+        cut = len(block) - len(block) % width
+        segments = [(0, block[:cut].reshape(-1, width))]
+        if cut < len(block):
+            tail = np.zeros((1, width), dtype=np.int8)
+            tail[0, : len(block) - cut] = block[cut:]
+            segments.append((cut, tail))
+        for offset, body in segments:
+            if len(body):
+                peaks, firsts, ends = _segment_peaks(body, [len(body)], [carry], peak)
+                carry = ends[0]
+                if peaks[0] > peak:
+                    peak, first = peaks[0], start + offset + firsts[0] - 1
         start = end
     return peak, first, found.tolist()
-
-
-def _batch_peaks(
-    values: np.ndarray, halves: Sequence[int], fill: int
-) -> tuple[list[int], list[int], list[int]]:
-    """Peak of |S|, its first maximizer and S((p-1)/2) for each segment of a batch.
-
-    values[1 : fill + 1] holds the segments of _legendre_peaks back to back,
-    each zero-padded to whole chunks of _BATCH_CHUNK values. Chunk sums and
-    one cumsum give S at every chunk edge, restarted at 0 per segment. Only
-    the chunks whose _chunk_bounds reach their segment's largest |S| at an
-    edge are summed out value by value; the chunk ending at that edge is
-    one, and so is any chunk holding a larger |S|. The padding keeps S at
-    S(halves[k]), so the first maximizer is at most halves[k].
-    """
-    width = _BATCH_CHUNK
-    count = len(halves)
-    lengths = -(-np.array(halves, dtype=np.intp) // width)
-    starts = np.cumsum(lengths) - lengths
-    owner = np.repeat(np.arange(count), lengths)
-    body = values[1 : fill + 1].reshape(-1, width)
-    sums = body.sum(axis=1, dtype=np.int16)  # |sum| <= width < 2^15
-    ends = np.cumsum(sums, dtype=np.int32)  # S at each chunk's last edge
-    ends -= (ends[starts] - sums[starts])[owner]  # restart each segment at 0
-    begins = ends - sums
-    tops = np.abs(ends)
-    level = np.maximum.reduceat(tops, starts)
-    bounds = _chunk_bounds(np.abs(begins), tops, width)
-    chunks = np.flatnonzero(bounds >= level[owner])
-    rows = np.cumsum(body[chunks], axis=1, dtype=np.int32)
-    rows += begins[chunks, None]
-    np.abs(rows, out=rows)
-    row_peaks = rows.max(axis=1)
-    segment = owner[chunks]
-    peaks = np.maximum.reduceat(row_peaks, np.searchsorted(chunks, starts))
-    hits = np.flatnonzero(row_peaks == peaks[segment])
-    firsts = hits[np.searchsorted(segment[hits], np.arange(count))]
-    cols = np.argmax(rows[firsts] == peaks[:, None], axis=1)
-    maximizers = (chunks[firsts] - starts) * width + cols + 1
-    return peaks.tolist(), maximizers.tolist(), ends[starts + lengths - 1].tolist()
 
 
 def _legendre_peaks(primes: Sequence[int]) -> Iterator[tuple[int, int]]:
@@ -452,12 +397,14 @@ def _legendre_peaks(primes: Sequence[int]) -> Iterator[tuple[int, int]]:
     S is the partial sum of the Legendre symbol mod p, and the primes are
     taken in order. A prime with (p-1)/2 > characters._BLOCK goes through
     _walk. The others are packed in order into an int8 buffer of _BATCH
-    values (or of one segment, if longer) that _batch_peaks reads when
-    full, so memory stays O(_BATCH + _BLOCK). Per prime, the segment is set
-    to -1 for n <= (p-1)/2, its residues k*k mod p (_square_residues) to 1,
-    and then its padding to 0. Residues above (p-1)/2 land in that padding
-    or past it, where the next segment's reset overwrites them or nothing
-    reads them. The squares (uint32 up to k = _U32_ROOT, plus an intp copy
+    values (or of one segment, if longer), each zero-padded to whole chunks
+    of _BATCH_CHUNK values. A full buffer is one _segment_peaks call, one
+    segment per prime, each from S = 0 with floor 0, so memory stays
+    O(_BATCH + _BLOCK). Per prime, the segment is set to -1 for
+    n <= (p-1)/2, its residues k*k mod p (_square_residues) to 1, and then
+    its padding to 0. Residues above (p-1)/2 land in that padding or past
+    it, where the next segment's reset overwrites them or nothing reads
+    them. The squares (uint32 up to k = _U32_ROOT, plus an intp copy
     past it), the intp index and the uint32 quotients are allocated once
     per call; intp quotients go into the index buffer. The result equals
     _walk's.
@@ -470,14 +417,19 @@ def _legendre_peaks(primes: Sequence[int]) -> Iterator[tuple[int, int]]:
     narrow = _squares(min(top, _U32_ROOT))
     quotient = np.empty(len(narrow), dtype=np.uint32)
     wide = _squares(top) if top > _U32_ROOT else narrow
-    halves: list[int] = []
+    lengths: list[int] = []
     fill = 0
+
+    def batch(lengths: list[int], fill: int) -> Iterator[tuple[int, int]]:
+        body = values[1 : fill + 1].reshape(-1, width)
+        return zip(*_segment_peaks(body, lengths, [0] * len(lengths), 0)[:2])
+
     for p in primes:
         half = (p - 1) // 2
         length = -(-half // width) * width
-        if halves and (half > block or fill + length > _BATCH):
-            yield from zip(*_batch_peaks(values, halves, fill)[:2])
-            halves, fill = [], 0
+        if lengths and (half > block or fill + length > _BATCH):
+            yield from batch(lengths, fill)
+            lengths, fill = [], 0
         if half > block:
             peak, first, _ = _walk(legendre_character(p), half)
             yield peak, first
@@ -491,10 +443,10 @@ def _legendre_peaks(primes: Sequence[int]) -> Iterator[tuple[int, int]]:
         table[1 : half + 1] = -1
         table[residues] = 1
         table[half + 1 : length + 1] = 0
-        halves.append(half)
+        lengths.append(length // width)
         fill += length
-    if halves:
-        yield from zip(*_batch_peaks(values, halves, fill)[:2])
+    if lengths:
+        yield from batch(lengths, fill)
 
 
 def max_partial_sum(chi: QuadraticCharacter) -> SumProfile:
@@ -506,9 +458,9 @@ def max_partial_sum(chi: QuadraticCharacter) -> SumProfile:
     Ties go to the smallest t. Every modulus, prime or composite, is one
     _walk: exact chunk sums give S at every edge of a chunk of _CHUNK
     values, and only the chunks whose bound (|b| + |e| + _CHUNK) // 2 from
-    their edge values b and e reaches the best edge value or the peak so far
-    are summed out value by value. Its memory is O(min(q, characters._BLOCK)
-    + largest factor of q).
+    their edge values b and e reaches the block's best edge value or the
+    peak so far are summed out value by value (_segment_peaks). Its memory
+    is O(min(q, characters._BLOCK) + largest factor of q).
     """
     q = chi.modulus
     # q = 1 is the trivial character: one value.

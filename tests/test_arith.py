@@ -72,7 +72,7 @@ def rounds_expand(prime_vals, table, limit):
 
 def rank_plan(table, limit, primes):
     """Blocks of (position of spf(n) among primes, n // spf(n) - 1)."""
-    table.require(limit)
+    assert table.limit >= limit
     rank = np.empty(limit + 1, dtype=np.uint32)  # read only at primes
     rank[primes] = np.arange(len(primes), dtype=np.uint32)
     lo = 2
@@ -155,12 +155,6 @@ class TestBuildSpf:
             s = int(t.spf[n])
             assert n % s == 0
             assert s * s <= n or s == n
-
-    def test_require(self):
-        t = build_spf(50)
-        t.require(50)
-        with pytest.raises(ValueError):
-            t.require(51)
 
     def test_read_only(self):
         t = build_spf(10)

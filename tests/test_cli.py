@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,35 @@ class TestPvScan:
         assert strip_timestamps(read_jsonl(serial)) == strip_timestamps(
             read_jsonl(threaded)
         )
+
+    def test_workers_are_capped_at_the_conductors(self, tmp_path, capsys, monkeypatch):
+        # [3, 12] holds the conductors 3, 7 and 11. A fourth worker would get
+        # an empty slice, and its kernel call would build a batch for nothing.
+        calls, pools = [], []
+        legendre_peaks = cli._legendre_peaks
+
+        def recording(primes):
+            calls.append(list(primes))
+            return legendre_peaks(primes)
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli, "_legendre_peaks", recording)
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+        rows = {}
+        for workers in ("1", "4"):
+            cache = tmp_path / f"cache{workers}.jsonl"
+            argv = ["pv-scan", "3", "12", "--out", str(cache), "--workers", workers]
+            assert main(argv) == 0
+            rows[workers] = strip_timestamps(json.loads(capsys.readouterr().out))
+        assert [r["conductor"] for r in rows["1"]] == [3, 7, 11]
+        assert rows["4"] == rows["1"]
+        assert calls[0] == [3, 7, 11]
+        assert sorted(calls[1:]) == [[3], [7], [11]]
+        assert pools == [3]
 
     def test_other_residue_class(self, tmp_path):
         cache = tmp_path / "cache.jsonl"

@@ -1,9 +1,12 @@
 """The streaming character kernel against the whole-period reference route.
 
 max_partial_sum scans only t <= (q-1)/2, and verify_lemma_bg and burgess_scan
-walk the values in blocks of characters._BLOCK. Within a block, sums._walk
-sums chunks of sums._CHUNK values first and sums out value by value only the
-chunks whose bound can reach the peak. The references below are the
+walk the values in blocks of characters._BLOCK. sums._walk hands each block
+to sums._segment_peaks in chunks of sums._CHUNK values, its last partial
+chunk zero-padded, and pv-scan's sums._legendre_peaks hands it batches of
+primes in chunks of sums._BATCH_CHUNK values. The kernel sums the chunks
+first and sums out value by value only the chunks whose bound can reach the
+peak. The references below are the
 whole-array routes they replaced: one value table for all n <= q, one
 np.cumsum over it. Their values come from kronecker, not from square
 marking, so the two routes share no arithmetic. Every comparison is exact,
@@ -18,6 +21,7 @@ blocked walk over every n <= q that the early stop replaced.
 import functools
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -349,9 +353,10 @@ def test_burgess_walk_stops_below_p(monkeypatch):
 
 
 # Chunk widths for the two-pass walk; each is crossed with two block sizes
-# it does not divide (but for 1) and the default 2^20. A block of fewer than
-# chunk**2 values has no coarse pass, so the sizes start at chunk**2 + 1,
-# and the characters below are long enough for chunks of 64.
+# it does not divide (but for 1) and the default 2^20, so most blocks end in
+# a partial chunk. The sizes hold at least chunk**2 values, so a block has
+# many chunks to choose among, and the characters below are long enough for
+# chunks of 64.
 CHUNKS = [1, 2, 3, 7, 64]
 LONG_CHARACTERS = [(7, 11, 13, 19), (19, 1019)]
 
@@ -372,16 +377,20 @@ def edge_points(limit, block, chunk):
 
 @pytest.fixture
 def coarse_passes(monkeypatch):
-    """Counts the blocks of sums._walk whose chunks _block_peak bounded."""
+    """The chunk counts of the kernel calls from sums._walk with whole chunks.
+
+    A block's last partial chunk is a call of one chunk, so a call of more
+    than one chunk is a block's run of whole chunks, bounded chunk by chunk.
+    """
     bounded = []
-    block_peak = sums._block_peak
+    segment_peaks = sums._segment_peaks
 
-    def counting(block, heads, floor, dtype):
-        if len(heads) > 1:
-            bounded.append(len(heads) - 1)
-        return block_peak(block, heads, floor, dtype)
+    def counting(body, lengths, carries, floor):
+        if sys._getframe(1).f_code.co_name == "_walk" and len(body) > 1:
+            bounded.append(len(body))
+        return segment_peaks(body, lengths, carries, floor)
 
-    monkeypatch.setattr(sums, "_block_peak", counting)
+    monkeypatch.setattr(sums, "_segment_peaks", counting)
     return bounded
 
 
@@ -455,6 +464,82 @@ def test_grid_catches_a_chunk_bound_without_the_chunk_width(monkeypatch):
                 if walked != (profile.max_abs, profile.argmax):
                     differing.append((chunk, factors, size))
     assert differing
+
+
+@pytest.mark.parametrize("width", [3, 7, 256])
+def test_last_partial_chunk_matches_reference(width, monkeypatch):
+    # q = 19 * 1019 peaks at n = 4840 < (q-1)/2 = 9680. Walks to either end
+    # in blocks of 1001 or 4001 values end on a last block that is not a
+    # whole number of chunks, and a walk to 4840 peaks at its last value.
+    chi = character(19, 1019)
+    cs = np.cumsum(reference_values(chi, chi.modulus), dtype=np.int64)
+    monkeypatch.setattr(sums, "_CHUNK", width)
+    peak_in_tail = False
+    for limit in (4840, (chi.modulus - 1) // 2):
+        magnitudes = np.abs(cs[:limit])
+        best = int(np.argmax(magnitudes))
+        for size in (1001, 4001):
+            monkeypatch.setattr(characters, "_BLOCK", size)
+            points = edge_points(limit, size, width)
+            found = [int(cs[t - 1]) if t else 0 for t in points]
+            expected = (int(magnitudes[best]), best + 1, found)
+            assert sums._walk(chi, limit, points) == expected, (limit, size)
+            assert limit % size % width
+            peak_in_tail |= best + 1 == limit
+    assert peak_in_tail
+
+
+def test_floor_prunes_a_block_below_the_peak(monkeypatch):
+    # p = 99991 peaks at 410 (n = 33330). In blocks of 4096 values some
+    # blocks keep every chunk bound below the peak so far, so the kernel
+    # sums out none of their chunks and reports a peak of -1 for them.
+    monkeypatch.setattr(characters, "_BLOCK", 4096)
+    width = sums._CHUNK
+    calls = []
+    segment_peaks = sums._segment_peaks
+
+    def recording(body, lengths, carries, floor):
+        peaks = segment_peaks(body, lengths, carries, floor)
+        calls.append((body.copy(), carries[0], floor, peaks[0][0]))
+        return peaks
+
+    monkeypatch.setattr(sums, "_segment_peaks", recording)
+    assert sums._walk(legendre_character(99991), 49995)[:2] == reference_peak(99991)
+    admitted = []
+    for body, carry, floor, peak in calls:
+        edges = [abs(int(s)) for s in np.cumsum([carry, *body.sum(axis=1).tolist()])]
+        level = max(floor, *edges[1:])
+        rows = sum((b + e + width) // 2 >= level for b, e in zip(edges, edges[1:]))
+        assert (rows == 0) == (peak == -1), (floor, peak)
+        admitted.append(rows)
+    assert 0 in admitted and max(admitted) > 0, admitted
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("top", [2**30, 2**31], ids=["2^30", "2^31"])
+def test_kernel_sums_past_int32_from_a_large_carry(top, sign):
+    # Segments from carries within 100 of 2^31 cross it, so the kernel must
+    # run its sums in int64. A chunk bound adds two edges, so carries near
+    # 2^30 need int64 too. The second segment ends in zero padding. The
+    # reference walks each segment in Python integers.
+    width, lengths = 7, [3, 2, 4]
+    rng = np.random.default_rng(22)
+    body = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=(9, width))
+    body[:3] = sign  # the first segment climbs by 21 from top - 10
+    body[4, 5:] = 0  # padding ends the second segment
+    carries = [sign * (top - 10), -sign * (top - 99), sign * (top - 1)]
+    expected = ([], [], [])
+    rows = np.cumsum([0, *lengths])
+    for k, carry in enumerate(carries):
+        s, peak, first = carry, -1, 0
+        for i, v in enumerate(body[rows[k] : rows[k + 1]].ravel().tolist(), 1):
+            s += v
+            if abs(s) > peak:
+                peak, first = abs(s), i
+        for column, value in zip(expected, (peak, first, s)):
+            column.append(value)
+    assert expected[0][0] == top + 11
+    assert sums._segment_peaks(body, lengths, carries, 0) == expected
 
 
 @pytest.mark.parametrize("p, ell", PAIRS, ids=str)
@@ -622,14 +707,14 @@ def test_segment_ends_are_class_number_multiples(size, monkeypatch):
     primes = [int(p) for p in sieve_primes(100_000) if p > 3 and p % 4 == 3]
     h = class_numbers(100_000)
     ends = []
-    batch_peaks = sums._batch_peaks
+    segment_peaks = sums._segment_peaks
 
-    def recording(values, halves, fill):
-        peaks = batch_peaks(values, halves, fill)
+    def recording(body, lengths, carries, floor):
+        peaks = segment_peaks(body, lengths, carries, floor)
         ends.extend(peaks[2])
         return peaks
 
-    monkeypatch.setattr(sums, "_batch_peaks", recording)
+    monkeypatch.setattr(sums, "_segment_peaks", recording)
     monkeypatch.setattr(sums, "_BATCH", size)
     assert len(list(sums._legendre_peaks(primes))) == len(ends) == 4807
     assert ends == [(2 - kronecker(2, p)) * int(h[p]) for p in primes]
