@@ -1,18 +1,24 @@
 """Command-line front end: scan drivers, report emission, results cache.
 
 Exit codes: 0 success, 2 malformed arguments, 3 violated precondition or
-hypothesis, 4 I/O failure (including a held cache lock). The conductor scan
-keeps an append-only JSON-lines cache, one record per line, guarded by a
-lock file against concurrent runs; reruns skip cached conductors unless
---force, which recomputes and rewrites the file atomically. Rows are
-emitted as JSON or CSV with fixed column orders; summaries go to stderr.
-Counterexample rows are formatted in chunks of 2^12 rows, small enough that
-the text in flight stays well below the hits' own columns. Where they span
-more than one chunk and a second CPU is available, a forked helper formats
-every other chunk into a pipe that this process copies out in order, so the
-bytes are those of the one-process route.
-For pv-scan, --out names the cache file, so its rows always go to stdout;
-thm-a instead writes its report file and prints the chain audit.
+hypothesis, 4 I/O failure (including a held cache lock or a failed worker
+process), 130 interrupted (SIGINT). The conductor scan keeps an append-only
+JSON-lines cache, one record per line, guarded by a lock file against
+concurrent runs; reruns skip cached conductors unless --force, which
+recomputes and rewrites the file atomically. Rows are emitted as JSON or
+CSV with fixed column orders; summaries go to stderr.
+
+Work that splits into chunks runs on worker processes through _forked_map:
+chunk i runs on process i mod workers, this process being process 0, and
+the results come back in order through pipes, so the output is that of the
+one-process route. pv-scan runs its kernel on chunks of 256 conductors on
+--workers processes (default: every CPU the process may use), and appends
+each chunk's rows to the cache as they arrive, so an interrupted scan loses
+at most one chunk. Counterexample rows are formatted in chunks of 2^12
+rows, small enough that the text in flight stays well below the hits' own
+columns, on every CPU the process may use. For pv-scan, --out names the
+cache file, so its rows always go to stdout; thm-a instead writes its
+report file and prints the chain audit.
 
 Each subcommand accepts only the flags it reads. All take --out and --limit
 (the largest modulus or x a run may tabulate; beyond it the run exits 3
@@ -31,12 +37,13 @@ import itertools
 import json
 import math
 import os
+import pickle
 import signal
 import sys
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -88,6 +95,14 @@ _JSON_HIT = (
 )
 _CSV_HEADER = "flipped_primes,N,mean_at_N,log_mean_at_N,ratio\n"
 _CSV_HIT = "%s,%d,%r,%r,%r\n"
+# pv-scan runs its kernel and appends its rows this many conductors at a
+# time, so an interrupt loses at most this many rows.
+_SCAN_CHUNK = 256
+
+# A row whose values are all of these types is laid out by the C encoder:
+# its items joined as json.dumps(rows, indent=2) joins them.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_FLAT_ROW = json.JSONEncoder(separators=(",\n    ", ": "))
 
 # 1/(4 sqrt e), the classical conditional barrier for least-nonresidue growth.
 _NONRESIDUE_BARRIER = 1.0 / (4.0 * math.exp(0.5))
@@ -199,9 +214,8 @@ def _append_cache(cache: Path, records: Sequence[dict]) -> None:
                     fh.write(b"\n")
                 else:
                     fh.truncate(start)
-        for record in records:
-            fh.write((json.dumps(record) + "\n").encode())
-            fh.flush()
+        fh.write("".join(json.dumps(record) + "\n" for record in records).encode())
+        fh.flush()
 
 
 def _rewrite_cache(cache: Path, records: Sequence[dict]) -> None:
@@ -230,7 +244,20 @@ def _render(rows: list[dict], columns: list[str], fmt: str) -> str:
         for row in rows:
             writer.writerow({k: _csv_cell(row.get(k)) for k in columns})
         return buf.getvalue()
-    return json.dumps(rows, indent=2) + "\n"
+    if not rows:
+        return "[]\n"
+    return "[\n" + ",\n".join(map(_json_row, rows)) + "\n]\n"
+
+
+def _json_row(row) -> str:
+    """One row as json.dumps(rows, indent=2) lays it out inside the list.
+
+    The pure-Python encoder that indent= selects is slow, so a non-empty row
+    of scalars is encoded by the C encoder with the indented separators.
+    """
+    if type(row) is dict and row and _SCALARS.issuperset(map(type, row.values())):
+        return "  {\n    " + _FLAT_ROW.encode(row)[1:-1] + "\n  }"
+    return "  " + json.dumps(row, indent=2).replace("\n", "\n  ")
 
 
 def _write(chunks: Iterable[str], args: argparse.Namespace) -> None:
@@ -286,66 +313,95 @@ def _hit_format(
     return opening, chunk, count, closing
 
 
-def _spare_cpu() -> bool:
-    """True where this process may fork and run on more than one CPU."""
-    return (
-        hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) > 1
-    )
+def _allowed_cpus() -> int:
+    """The number of CPUs this process may run on, or 1 where it cannot tell."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _received(pipe: io.BufferedReader) -> str:
-    """The next length-prefixed chunk the formatting helper wrote to pipe."""
+def _received(pipe: io.BufferedReader):
+    """The next length-prefixed result a forked helper wrote to pipe."""
     head = pipe.read(8)
     if len(head) == 8:
         size = int.from_bytes(head, "little")
         data = pipe.read(size)
         if len(data) == size:
-            return data.decode()
-    raise OSError("row formatting helper ended before its last chunk")
+            return pickle.loads(data)
+    raise OSError("forked helper ended before its last chunk")
+
+
+def _serve(
+    chunk: Callable[[int], object],
+    indices: range,
+    pipes: list[io.BufferedReader],
+    write_fd: int,
+) -> NoReturn:
+    """A forked helper's life: write chunk(i) for each index to write_fd, exit.
+
+    It closes the read ends it inherited, writes each result pickled and
+    length-prefixed, flushing after each, and leaves through os._exit, so
+    it never flushes an inherited buffer or runs exit hooks.
+    """
+    status = 1
+    try:
+        for pipe in pipes:
+            pipe.close()
+        with open(write_fd, "wb") as out:
+            for i in indices:
+                data = pickle.dumps(chunk(i), pickle.HIGHEST_PROTOCOL)
+                out.write(len(data).to_bytes(8, "little"))
+                out.write(data)
+                out.flush()
+        status = 0
+    finally:
+        os._exit(status)
 
 
 @contextlib.contextmanager
-def _chunk_texts(chunk: Callable[[int], str], count: int) -> Iterator[Iterator[str]]:
+def _forked_map(
+    chunk: Callable[[int], object], count: int, workers: int
+) -> Iterator[Iterator]:
     """Yield an iterator over chunk(0), ..., chunk(count - 1), in order.
 
-    With more than one chunk and a spare CPU, a forked helper formats the
-    odd-numbered chunks and writes each, length-prefixed, to a pipe; this
-    process formats the even ones and reads the helper's between them. The
-    helper blocks on the pipe until its chunk is read, so each side holds at
-    most a chunk or two. It writes nowhere else and leaves through os._exit,
-    so it never flushes an inherited buffer or runs exit hooks. On leaving,
-    the helper is reaped, and killed first if the caller failed.
+    With workers > 1 (capped at count) and os.fork, chunk i runs on process
+    i mod workers: this process is process 0, and each other is a forked
+    helper that writes its results, in order, to a pipe of its own that this
+    process reads between its own chunks. A helper blocks once its pipe is
+    full, so it runs at most a pipe's worth of results ahead. On leaving,
+    every helper is reaped, and if the caller failed, killed first; a helper
+    that fails ends its pipe early, which fails the read as an OSError.
     """
-    if count < 2 or not _spare_cpu():
+    workers = min(workers, count) if hasattr(os, "fork") else 1
+    if workers < 2:
         yield map(chunk, range(count))
         return
     sys.stdout.flush()
     sys.stderr.flush()
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                for i in range(1, count, 2):
-                    data = chunk(i).encode()
-                    pipe.write(len(data).to_bytes(8, "little"))
-                    pipe.write(data)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
+    pids: list[int] = []
+    pipes: list[io.BufferedReader] = []
     try:
-        with open(read_fd, "rb") as pipe:
-            yield (chunk(i) if i % 2 == 0 else _received(pipe) for i in range(count))
+        for k in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(chunk, range(k, count, workers), pipes, write_fd)
+            finally:
+                os.close(write_fd)
+            pids.append(pid)
+        yield (
+            chunk(i) if i % workers == 0 else _received(pipes[i % workers - 1])
+            for i in range(count)
+        )
     except BaseException:
-        os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def _make_function(
@@ -372,14 +428,10 @@ def _capacity(needed: int, args: argparse.Namespace) -> None:
         )
 
 
-def _scan_records(primes: list[int]) -> list[dict]:
-    """pv-scan rows for odd primes, in order, from one _legendre_peaks call.
-
-    The peaks are collected first, so the kernel's buffers are freed before
-    the rows are built: on the scan benchmark that keeps the peak RSS at
-    the level of the per-conductor walk it replaced.
-    """
-    peaks = list(_legendre_peaks(primes))
+def _scan_records(
+    primes: Sequence[int], peaks: Iterable[tuple[int, int]]
+) -> list[dict]:
+    """pv-scan rows for odd primes, in order, from their (peak, first) pairs."""
     records = []
     for p, (peak, first) in zip(primes, peaks):
         ratios = pv_ratios(SumProfile(modulus=p, max_abs=peak, argmax=first))
@@ -408,23 +460,22 @@ def _cmd_pv_scan(args: argparse.Namespace) -> int:
             if p >= args.pmin and p % 4 == args.residue_class
         ]
         todo = [p for p in targets if args.force or (p, "legendre") not in by_key]
-        new_records: list[dict] = []
-        if todo:
-            n = min(args.workers, len(todo))  # no worker without a conductor
-            if n > 1:
-                new_records = [{}] * len(todo)
-                with ThreadPoolExecutor(max_workers=n) as pool:
-                    parts = pool.map(_scan_records, [todo[i::n] for i in range(n)])
-                    for i, part in enumerate(parts):
-                        new_records[i::n] = part
-            else:
-                new_records = _scan_records(todo)
-            for record in new_records:
-                by_key[(record["conductor"], record["family"])] = record
-            if args.force:
-                _rewrite_cache(cache, [by_key[k] for k in sorted(by_key)])
-            else:
-                _append_cache(cache, new_records)
+        parts = [todo[i : i + _SCAN_CHUNK] for i in range(0, len(todo), _SCAN_CHUNK)]
+        workers = _allowed_cpus() if args.workers is None else args.workers
+
+        def peaks(i: int) -> list[tuple[int, int]]:
+            # a list, so the kernel's buffers are freed before the rows are built
+            return list(_legendre_peaks(parts[i]))
+
+        with _forked_map(peaks, len(parts), workers) as results:
+            for part, part_peaks in zip(parts, results):
+                records = _scan_records(part, part_peaks)
+                if not args.force:
+                    _append_cache(cache, records)
+                for record in records:
+                    by_key[(record["conductor"], record["family"])] = record
+        if args.force and todo:
+            _rewrite_cache(cache, [by_key[k] for k in sorted(by_key)])
 
     in_range = [
         by_key[(p, "legendre")] for p in targets if (p, "legendre") in by_key
@@ -436,7 +487,7 @@ def _cmd_pv_scan(args: argparse.Namespace) -> int:
         loglogs = [r["ratio_loglog"] for r in in_range if "ratio_loglog" in r]
         loglog_text = f"{max(loglogs):.6f}" if loglogs else "n/a"
         print(
-            f"pv-scan: {len(new_records)} new, {skipped} cached; "
+            f"pv-scan: {len(todo)} new, {skipped} cached; "
             f"max ratio_log={max_log:.6f}; max ratio_loglog={loglog_text}",
             file=sys.stderr,
         )
@@ -561,7 +612,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     _capacity(m, args)
     hits = counterexample_search(args.x_max, args.flip_budget, args.threshold)
     opening, chunk, count, closing = _hit_format(hits, args.format)
-    with _chunk_texts(chunk, count) as texts:
+    with _forked_map(chunk, count, _allowed_cpus()) as texts:
         _write(itertools.chain([opening], texts, [closing]), args)
     print(f"counterexample: {len(hits)} hits", file=sys.stderr)
     return 0
@@ -575,7 +626,11 @@ _FLAGS = {
     ),
     "format": dict(choices=["json", "csv"], default="json", help="output format"),
     "seed": dict(type=int, default=0, help="random seed"),
-    "workers": dict(type=int, default=1, help="worker threads for scans"),
+    "workers": dict(
+        type=int,
+        default=None,
+        help="worker processes (default: every CPU this process may use)",
+    ),
     "force": dict(action="store_true", help="recompute cached conductors"),
 }
 
@@ -698,7 +753,7 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     if cmd == "pv-scan":
         if args.pmin < 2 or args.pmax < args.pmin:
             parser.error("need 2 <= pmin <= pmax")
-        if args.workers < 1:
+        if args.workers is not None and args.workers < 1:
             parser.error("--workers must be at least 1")
     elif cmd == "burgess-scan":
         if args.p < 3:
@@ -761,6 +816,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def entry() -> None:

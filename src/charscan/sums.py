@@ -398,20 +398,25 @@ def _legendre_peaks(primes: Sequence[int]) -> Iterator[tuple[int, int]]:
     taken in order. A prime with (p-1)/2 > characters._BLOCK goes through
     _walk. The others are packed in order into an int8 buffer of _BATCH
     values (or of one segment, if longer), each zero-padded to whole chunks
-    of _BATCH_CHUNK values. A full buffer is one _segment_peaks call, one
-    segment per prime, each from S = 0 with floor 0, so memory stays
-    O(_BATCH + _BLOCK). Per prime, the segment is set to -1 for
-    n <= (p-1)/2, its residues k*k mod p (_square_residues) to 1, and then
-    its padding to 0. Residues above (p-1)/2 land in that padding or past
-    it, where the next segment's reset overwrites them or nothing reads
-    them. The squares (uint32 up to k = _U32_ROOT, plus an intp copy
-    past it), the intp index and the uint32 quotients are allocated once
-    per call; intp quotients go into the index buffer. The result equals
-    _walk's.
+    of _BATCH_CHUNK values. The buffer is no longer than those padded
+    segments together, so a call that batches no prime holds no batch. A
+    full buffer is one _segment_peaks call, one segment per prime, each
+    from S = 0 with floor 0, so memory stays O(_BATCH + _BLOCK). Per
+    prime, the segment is set to -1 for n <= (p-1)/2, its residues k*k mod
+    p (_square_residues) to 1, and then its padding to 0. Residues above
+    (p-1)/2 land in that padding or past it, where the next segment's reset
+    overwrites them or nothing reads them. The squares (uint32 up to
+    k = _U32_ROOT, plus an intp copy past it), the intp index and the
+    uint32 quotients are allocated once per call; intp quotients go into
+    the index buffer. The result equals _walk's.
     """
     block, width = characters._BLOCK, _BATCH_CHUNK
-    top = max((h for h in ((p - 1) // 2 for p in primes) if h <= block), default=0)
-    capacity = max(_BATCH, -(-top // width) * width)
+    halves = [h for h in ((p - 1) // 2 for p in primes) if h <= block]
+    top = max(halves, default=0)
+    # a batch holds at most _BATCH values or one longer segment, and never
+    # more than every batched segment together
+    total = sum(-(-h // width) * width for h in halves)
+    capacity = min(total, max(_BATCH, -(-top // width) * width))
     values = np.empty(capacity + top + 1, dtype=np.int8)
     index = np.empty(top, dtype=np.intp)
     narrow = _squares(min(top, _U32_ROOT))

@@ -8,7 +8,6 @@ import shutil
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -131,22 +130,22 @@ class TestPvScan:
         )
 
     def test_workers_are_capped_at_the_conductors(self, tmp_path, capsys, monkeypatch):
-        # [3, 12] holds the conductors 3, 7 and 11. A fourth worker would get
-        # an empty slice, and its kernel call would build a batch for nothing.
-        calls, pools = [], []
+        # [3, 12] holds the conductors 3, 7 and 11: one chunk, so --workers 4
+        # forks no helper, which would have no chunk to run.
+        calls, forks = [], []
         legendre_peaks = cli._legendre_peaks
+        fork = os.fork
 
         def recording(primes):
             calls.append(list(primes))
             return legendre_peaks(primes)
 
-        class Pool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
+        def counting_fork():
+            forks.append(1)
+            return fork()
 
         monkeypatch.setattr(cli, "_legendre_peaks", recording)
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(os, "fork", counting_fork)
         rows = {}
         for workers in ("1", "4"):
             cache = tmp_path / f"cache{workers}.jsonl"
@@ -155,9 +154,8 @@ class TestPvScan:
             rows[workers] = strip_timestamps(json.loads(capsys.readouterr().out))
         assert [r["conductor"] for r in rows["1"]] == [3, 7, 11]
         assert rows["4"] == rows["1"]
-        assert calls[0] == [3, 7, 11]
-        assert sorted(calls[1:]) == [[3], [7], [11]]
-        assert pools == [3]
+        assert calls == [[3, 7, 11], [3, 7, 11]]
+        assert forks == []
 
     def test_other_residue_class(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -338,6 +336,31 @@ class TestPvScan:
         assert main(["pv-scan", "100", "3"]) == 2
         assert main(["pv-scan", "1", "10"]) == 2
         capsys.readouterr()
+
+
+FLAT_ROW = {
+    "conductor": 7, "family": "legendre", "max_abs": 2, "argmax": 1,
+    "ratio_log": 0.5155, "timestamp": 1_700_000_000, "ratio_loglog": 0.9123,
+}
+RENDER_CASES = {
+    "empty-list": [],
+    "flat-rows": [FLAT_ROW, dict(FLAT_ROW, conductor=11, max_abs=-3, argmax=10**30)],
+    "empty-row": [{}, FLAT_ROW, {}],
+    "scalars": [{"none": None, "yes": True, "no": False, "zero": -0.0, "tiny": 5e-324}],
+    "non-finite": [{"nan": math.nan, "inf": math.inf, "-inf": -math.inf}],
+    "non-ascii": [{"f": "λ(n) · ζ", "g": "é\U0001f600", "ü": "\x00\n\"\\"}],
+    "nested": [
+        {"f": "liouville", "flags": ["small-x", "gs-bound"], "x": 1e5},
+        {"f": "ones", "flags": [], "extra": {"a": [1, [2.5, None]], "b": {}}},
+        FLAT_ROW,
+    ],
+}
+
+
+class TestRender:
+    @pytest.mark.parametrize("rows", RENDER_CASES.values(), ids=RENDER_CASES.keys())
+    def test_json_route_equals_the_indent_encoder(self, rows):
+        assert cli._render(rows, [], "json") == json.dumps(rows, indent=2) + "\n"
 
 
 class TestThmA:

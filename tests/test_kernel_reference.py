@@ -738,6 +738,26 @@ def test_batch_memory_is_flat_in_the_number_of_primes():
     assert peaks[5000] < 1.25 * peaks[1000], peaks
 
 
+@pytest.mark.parametrize(
+    "primes",
+    [[], [1019, 1031, 2003], [3, 5, 1019, 7]],
+    ids=["no-primes", "all-walked", "few-batched"],
+)
+def test_batch_buffer_is_sized_to_its_primes(primes, monkeypatch):
+    # With _BLOCK = 100, 1019, 1031 and 2003 go to _walk, which holds a few
+    # blocks of 100 values; 3, 5 and 7 batch one chunk of 64 values each. A
+    # buffer of _BATCH values would be 2^20 bytes.
+    monkeypatch.setattr(characters, "_BLOCK", 100)
+    tracemalloc.start()
+    try:
+        got = list(sums._legendre_peaks(primes))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [reference_peak(p) for p in primes]
+    assert peak < 64 * 1024, peak
+
+
 @pytest.fixture
 def walked(monkeypatch):
     """The moduli sums._walk is called with, from sums or from experiments."""
@@ -765,7 +785,7 @@ def test_kernel_selection_follows_the_block(monkeypatch, walked):
     assert walked == [1009, 1019]
     walked.clear()
     primes = [3, 1009, 1013, 1019, 5]
-    records = cli._scan_records(primes)
+    records = cli._scan_records(primes, sums._legendre_peaks(primes))
     assert walked == [1013, 1019]
     assert [r["conductor"] for r in records] == primes
     for record in records:
