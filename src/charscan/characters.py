@@ -175,15 +175,18 @@ def _shared_value_table(p: int) -> np.ndarray:
 def _value_blocks(chi: QuadraticCharacter, limit: int) -> Iterator[np.ndarray]:
     """chi(n) for 1 <= n <= limit as consecutive int8 blocks of _BLOCK values.
 
-    Each prime factor p gets one periodic table E_p with E_p[a] = (a/p), long
-    enough for any block at any phase: min(_BLOCK + p - 1, limit + 1) values,
-    extended from the table mod p that a caller of _shared_value_table holds,
-    or else from a new one.
-    The block for n = a+1..a+L is then the slice of each E_p at offset
-    (a+1) mod p, a view, and the product of those views; no gather and no
-    roll per block. Working memory is O(_BLOCK + largest factor) whatever
-    limit is. A block from a single factor is a view of its table, so callers
-    must not write into it.
+    Each prime factor p reads the table mod p that a caller of
+    _shared_value_table holds, or else a new one. A factor with p below the
+    block length extends it periodically to a table E_p with E_p[a] = (a/p)
+    of min(_BLOCK + p - 1, limit + 1) values, long enough for any block at
+    any phase. The block for n = a+1..a+L is then the slice of each table at
+    offset (a+1) mod p, a view, and the product of those pieces; no gather
+    and no roll per block. A factor with p at least the block length keeps
+    only its table mod p: its piece is a view unless the block crosses a
+    multiple of p, and then it is the table's tail joined to its head, a new
+    array of at most _BLOCK values. Working memory is O(_BLOCK + largest
+    factor) whatever limit is. A block from a single factor may be a view of
+    its table, so callers must not write into it.
     """
     step = min(limit, _BLOCK)
     tables = []
@@ -191,8 +194,8 @@ def _value_blocks(chi: QuadraticCharacter, limit: int) -> Iterator[np.ndarray]:
         table = _live_tables.get(p)
         if table is None:
             table = _legendre_value_table(p)
-        length = min(step + p - 1, limit + 1)
-        if length > p:
+        if p < step:
+            length = min(step + p - 1, limit + 1)
             table = np.tile(table, -(-length // p))[:length]
         tables.append((p, table))
     for start in range(1, limit + 1, step):
@@ -201,6 +204,8 @@ def _value_blocks(chi: QuadraticCharacter, limit: int) -> Iterator[np.ndarray]:
         for p, table in tables:
             offset = start % p
             piece = table[offset : offset + size]
+            if len(piece) < size:  # crosses a multiple of p >= step, once
+                piece = np.concatenate((piece, table[: size - len(piece)]))
             block = piece if block is None else block * piece
         yield np.ones(size, dtype=np.int8) if block is None else block
 

@@ -41,6 +41,7 @@ import pickle
 import signal
 import sys
 import time
+import traceback
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from pathlib import Path
 from typing import NoReturn
@@ -339,19 +340,26 @@ def _serve(
 
     It closes the read ends it inherited, writes each result pickled and
     length-prefixed, flushing after each, and leaves through os._exit, so
-    it never flushes an inherited buffer or runs exit hooks.
+    it never flushes an inherited buffer or runs exit hooks. os._exit skips
+    the report of an uncaught exception, so a helper that fails writes its
+    traceback to fd 2 itself. It does so while its pipe is still open: the
+    command kills every helper once a pipe ends early, and os._exit is what
+    closes the pipe.
     """
     status = 1
     try:
         for pipe in pipes:
             pipe.close()
-        with open(write_fd, "wb") as out:
-            for i in indices:
-                data = pickle.dumps(chunk(i), pickle.HIGHEST_PROTOCOL)
-                out.write(len(data).to_bytes(8, "little"))
-                out.write(data)
-                out.flush()
+        out = open(write_fd, "wb")
+        for i in indices:
+            data = pickle.dumps(chunk(i), pickle.HIGHEST_PROTOCOL)
+            out.write(len(data).to_bytes(8, "little"))
+            out.write(data)
+            out.flush()
         status = 0
+    except Exception:
+        with contextlib.suppress(OSError), open(2, "w", closefd=False) as err:
+            traceback.print_exc(file=err)
     finally:
         os._exit(status)
 

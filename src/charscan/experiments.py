@@ -37,6 +37,7 @@ from .characters import (
     legendre_character,
     product_character,
 )
+from . import sums
 from .sums import (
     CONSTANTS,
     CompletelyMultiplicativeFunction,
@@ -177,22 +178,24 @@ def verify_lemma_bg(xi: QuadraticCharacter, psi: QuadraticCharacter) -> LemmaBgA
     held = [_shared_value_table(p) for p in xi.factors]
     lhs = max_partial_sum(chi).max_abs / math.sqrt(q)
     m_xi = max_partial_sum(xi).max_abs
-    # The log-sum runs over n = 1..q in the blocks of xi's values. Each block
-    # gets the running sum so far prepended before np.cumsum, so every
-    # addition happens in the same order as one cumsum over all q terms.
+    # The log-sum runs over n = 1..q in the blocks of xi's values, each in
+    # slices of at most _SUM_BLOCK terms through one float64 buffer, so no
+    # float array as long as a block is held. Each slice gets the running sum
+    # so far at position 0 before np.cumsum, so every addition happens in
+    # the same order as one cumsum over all q terms.
+    buffer = np.empty(min(q, sums._SUM_BLOCK) + 1)
     peak, carry, start = 0.0, 0.0, 1
     for block in _value_blocks(xi, q):
-        running = np.empty(len(block) + 1)
-        running[0] = carry
-        running[1:] = block
-        # Divided slice by slice: a divisor array as long as the block would
-        # add 8 bytes per value to the audit's peak memory.
         for lo, hi in _block_bounds(len(block)):
-            running[1 + lo : 1 + hi] /= np.arange(start + lo, start + hi, dtype=float)
-        running[1 + (-start) % ell :: ell] = 0.0  # n = 0 mod ell
-        np.cumsum(running, out=running)
-        carry = float(running[-1])
-        peak = max(peak, float(running.max()), -float(running.min()))
+            running = buffer[: hi - lo + 1]
+            running[0] = carry
+            terms = running[1:]
+            terms[:] = block[lo:hi]
+            terms /= np.arange(start + lo, start + hi, dtype=float)
+            terms[(-(start + lo)) % ell :: ell] = 0.0  # n = 0 mod ell
+            np.cumsum(running, out=running)
+            carry = float(running[-1])
+            peak = max(peak, float(running.max()), -float(running.min()))
         start += len(block)
         if peak > (abs(carry) + _log_sum_tail_bound(m_xi, start - 1, q)) * (
             1.0 + 2.0**-50
@@ -641,8 +644,8 @@ def burgess_scan(p: int, thetas: Sequence[float]) -> list[BurgessPoint]:
     ts = [p**theta for theta in thetas]
     # S(p) = S(p - 1) = 0, so the walk stops at the largest floor(t) below p.
     ms = [min(math.floor(t), p - 1) for t in ts]
-    _, _, sums = _walk(xi, max(ms), ms)
+    _, _, found = _walk(xi, max(ms), ms)
     return [
         BurgessPoint(theta=float(theta), t=t, s=s, ratio=abs(s) / t)
-        for theta, t, s in zip(thetas, ts, sums)
+        for theta, t, s in zip(thetas, ts, found)
     ]

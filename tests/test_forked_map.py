@@ -170,6 +170,25 @@ class TestPvScanWorkers:
         assert conductors == scan_conductors(200)[:SCAN_CHUNK]
         assert_no_child_left()
 
+    def test_helper_traceback_reaches_fd_2(self, tmp_path, capfd, monkeypatch, chunked_scan):
+        # The helper leaves through os._exit, which prints nothing; its own
+        # traceback is what names the failure, ahead of the command's line.
+        set_cpus(monkeypatch, 3)
+        parent = os.getpid()
+        legendre_peaks = cli._legendre_peaks
+
+        def failing(primes):
+            if os.getpid() != parent:
+                raise RuntimeError("helper fails")
+            return legendre_peaks(primes)
+
+        monkeypatch.setattr(cli, "_legendre_peaks", failing)
+        code, out, err, _ = scan(tmp_path, capfd, "cache")
+        assert code == 4 and out == ""
+        assert "Traceback" in err and "RuntimeError: helper fails" in err
+        assert err.index("RuntimeError: helper fails") < err.index("io error: ")
+        assert_no_child_left()
+
     @pytest.mark.parametrize(
         "workers, k, code",
         [("1", 0, 130), ("1", 3, 130), ("2", 2, 130), ("2", 3, 4), ("3", 4, 4), ("3", 3, 130)],

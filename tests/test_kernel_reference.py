@@ -554,16 +554,62 @@ def test_lemma_bg_with_small_chunks_matches_reference(p, ell, monkeypatch):
             assert verify_lemma_bg(xi, psi) == expected, (chunk, size)
 
 
+def slice_sizes(ell):
+    """Slices of the audit's log-sum: 1, 2, 3, 7, ell-1, ell, ell+1 and 64 terms."""
+    return sorted({1, 2, 3, 7, ell - 1, ell, ell + 1, 64})
+
+
 @pytest.mark.parametrize("p, ell", PAIRS, ids=str)
 def test_lemma_bg_divides_in_slices_bit_for_bit(p, ell, monkeypatch):
-    # Each block's terms xi(n)/n are divided in slices of sums._SUM_BLOCK.
+    # Each block's log-sum runs in slices of sums._SUM_BLOCK terms, each from
+    # the carry at position 0. The grid puts slice edges on multiples of ell
+    # and on the edges of blocks of every grid size.
     xi, psi = legendre_character(p), legendre_character(ell)
     expected = reference_audit(xi, psi)
-    for piece in (3, 64):
+    for piece in slice_sizes(ell):
         monkeypatch.setattr(sums, "_SUM_BLOCK", piece)
-        for size in (100, 1 << 20):
+        for size in sorted({*grid_sizes(p, ell), 100, 1 << 20}):
             monkeypatch.setattr(characters, "_BLOCK", size)
             assert verify_lemma_bg(xi, psi) == expected, (piece, size)
+
+
+def test_audit_memory_is_its_tables_and_a_few_slices():
+    # The table mod p (1.6 MB), the tile of the table mod 19 and one block of
+    # values (1 MB each), and float64 slices of 2^16 + 1 values. The former
+    # layout, a float64 block of 2^20 + 1 values and xi's table tiled to
+    # 2^20 + p values, peaked at 13.1 MiB.
+    p = 1615843
+    assert p > characters._BLOCK
+    peak = _audit_peak(p, 19)
+    assert peak < p + 5 * 2**20, peak
+
+
+# Factors at or above the block length are read from their table mod p, and
+# a block that crosses a multiple of p joins its tail to its head. (3, 1019),
+# (5, 13) and (7, 11, 13) mix such a factor with a tiled one below the block.
+WRAP_CHARACTERS = [(11,), (13,), (1019,), (3, 1019), (5, 13), (7, 11, 13)]
+
+
+def wrap_block_sizes(chi):
+    """7, 8, p-1 and p for each factor p of at least 11."""
+    return sorted({s for p in chi.factors if p >= 11 for s in (7, 8, p - 1, p)})
+
+
+@pytest.mark.parametrize("factors", WRAP_CHARACTERS, ids=str)
+def test_blocks_across_a_multiple_of_p_match_reference(factors, monkeypatch):
+    chi = character(*factors)
+    limit = 2 * chi.modulus + 5  # past q, so every factor wraps again
+    values = reference_values(chi, limit)
+    cs = np.cumsum(values, dtype=np.int64)
+    magnitudes = np.abs(cs)
+    best = int(np.argmax(magnitudes))
+    points = list(range(limit + 1))
+    expected = (int(magnitudes[best]), best + 1, [0, *cs.tolist()])
+    for size in wrap_block_sizes(chi):
+        monkeypatch.setattr(characters, "_BLOCK", size)
+        assert max(chi.factors) >= size
+        assert bulk_values(chi, limit).tobytes() == values.tobytes(), size
+        assert sums._walk(chi, limit, points) == expected, size
 
 
 @pytest.mark.parametrize("p, ell", LARGE_PAIRS[:4], ids=str)
