@@ -160,19 +160,19 @@ def _expansion_plan(limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     type several times slower. Each block sieves its own spf from the primes
     p <= sqrt(hi - 1), so no length-limit table is held: every multiple of
     p from max(p*p, lo) on gets p, in decreasing p so that the least prime
-    factor is written last, and the entries left 0 are the primes, which
-    are their own spf. The blocks are computed lazily, so one expansion
-    never holds them all; tuple() keeps a plan for reuse across functions.
+    factor is written last. index starts as n itself, so the entries the
+    sieve never writes are the primes, which are their own spf. The blocks
+    are computed lazily, so one expansion never holds them all; tuple()
+    keeps a plan for reuse across functions.
     """
     primes = sieve_primes(math.isqrt(limit)).tolist()
     lo = 2
     while lo <= limit:
         hi = min(2 * lo, lo + _PLAN_BLOCK, limit + 1)
-        index = np.zeros(hi - lo, dtype=np.intp)
+        cofactor = np.arange(lo, hi, dtype=np.intp)
+        index = cofactor.copy()
         for p in reversed(primes[: bisect_right(primes, math.isqrt(hi - 1))]):
             index[max(p * p, -(-lo // p) * p) - lo :: p] = p
-        cofactor = np.arange(lo, hi, dtype=np.intp)
-        np.copyto(index, cofactor, where=index == 0)
         cofactor //= index
         yield index, cofactor
         lo = hi

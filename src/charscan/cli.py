@@ -85,9 +85,9 @@ SCAN_COLUMNS = [
 
 # Counterexample rows are formatted and written this many at a time, so the
 # whole text is never held in memory. A chunk in flight costs about five
-# times its text. At 2^12 rows the default run's peak RSS is the search's;
-# 2^13 and 2^14 rows added 3.5 and 9.6 MB, 2^11 saved nothing, and all four
-# ran equally fast.
+# times its text. At 2^11, 2^12 and 2^13 rows the default run's peak RSS is
+# the search's (44.1-44.2 MiB); 2^14 rows added 6.2 MiB, and all four ran
+# equally fast. 2^12 keeps a factor of two from that step.
 _HIT_CHUNK = 1 << 12
 # One row as json.dumps(rows, indent=2) and csv.DictWriter lay it out.
 _JSON_HIT = (
@@ -285,7 +285,8 @@ def _hit_format(
     Returns (opening, chunk, count, closing): the text is the opening, then
     chunk(0), ..., chunk(count - 1), then the closing. Each row is one
     %-format of column values: %d for N, and %r for the floats, which prints
-    the repr that json.dumps and csv both write.
+    the repr that json.dumps and csv both write. The mean and ratio columns
+    are computed per chunk from the stored ones.
     """
     count = -(-len(hits) // _HIT_CHUNK)
     if fmt == "csv":

@@ -455,8 +455,13 @@ class CounterexampleRecord:
 class CounterexampleHits(Sequence[CounterexampleRecord]):
     """Read-only sequence of search hits, stored as columns, one row per hit.
 
-    Row i is the hit on subsets[subset[i]] at N[i]; ratio[i] is
-    |log_mean_at_N[i]| / |mean_at_N[i]|. Indexing and iteration build
+    Row i is the hit on subsets[subset[i]] at N[i], where the flipped
+    function has the exact partial sum S[i] = sum_{n <= N[i]} f(n) and the
+    log-mean log_mean_at_N[i]. These four are the stored columns, each in
+    the narrowest dtype that holds it. mean_at_N = S / N and ratio =
+    |log_mean_at_N| / |mean_at_N| are float64 arrays computed for the hits
+    (or slice of them) they are read from, bit for bit the values the
+    search compared. Every array is read-only. Indexing and iteration build
     CounterexampleRecords on demand; a slice is another CounterexampleHits
     over views of the columns. Equality is elementwise against any sequence
     of records, so `hits == []` tests for no hits.
@@ -467,18 +472,28 @@ class CounterexampleHits(Sequence[CounterexampleRecord]):
         subsets: Sequence[tuple[int, ...]],
         subset: np.ndarray,
         N: np.ndarray,
-        mean_at_N: np.ndarray,
+        S: np.ndarray,
         log_mean_at_N: np.ndarray,
-        ratio: np.ndarray,
     ):
         self.subsets = tuple(subsets)
         self.subset = subset
         self.N = N
-        self.mean_at_N = mean_at_N
+        self.S = S
         self.log_mean_at_N = log_mean_at_N
-        self.ratio = ratio
-        for column in (subset, N, mean_at_N, log_mean_at_N, ratio):
+        for column in (subset, N, S, log_mean_at_N):
             column.setflags(write=False)
+
+    @property
+    def mean_at_N(self) -> np.ndarray:
+        mean = self.S / self.N
+        mean.setflags(write=False)
+        return mean
+
+    @property
+    def ratio(self) -> np.ndarray:
+        ratio = _ratio(self.S, self.N, self.log_mean_at_N)
+        ratio.setflags(write=False)
+        return ratio
 
     def __len__(self) -> int:
         return len(self.N)
@@ -486,12 +501,7 @@ class CounterexampleHits(Sequence[CounterexampleRecord]):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return CounterexampleHits(
-                self.subsets,
-                self.subset[i],
-                self.N[i],
-                self.mean_at_N[i],
-                self.log_mean_at_N[i],
-                self.ratio[i],
+                self.subsets, self.subset[i], self.N[i], self.S[i], self.log_mean_at_N[i]
             )
         i = operator.index(i)
         if not -len(self) <= i < len(self):
@@ -499,7 +509,7 @@ class CounterexampleHits(Sequence[CounterexampleRecord]):
         return CounterexampleRecord(
             flipped_primes=self.subsets[self.subset[i]],
             N=int(self.N[i]),
-            mean_at_N=float(self.mean_at_N[i]),
+            mean_at_N=float(self.S[i] / self.N[i]),
             log_mean_at_N=float(self.log_mean_at_N[i]),
         )
 
@@ -524,7 +534,10 @@ def counterexample_search(
     mean nonzero, |log-mean| < threshold * |mean|, and |log-mean| < |mean| is
     recorded. Hits come back ordered by the key (ratio, N, flipped primes),
     where ratio is |log-mean| / |mean| and the flipped primes compare as
-    tuples.
+    tuples. Each hit is held as its subset rank, N, the partial sum S(N) and
+    the float64 log-mean, 13 bytes at the defaults; the mean and the ratio
+    are recomputed from S and N when read. The columns grow by each
+    subset's hits, so they never hold more rows than there are hits.
     """
     if x_max < 100:
         raise ValueError("x_max must be at least 100")
@@ -543,25 +556,22 @@ def counterexample_search(
         for k in range(min(flip_budget, len(pool)) + 1)
         for subset in combinations(pool, k)
     )
-    # Each column frees its parts as it is joined, and the sort replaces one
-    # column at a time. The ratio key is recomputed after the sort, bit for
-    # bit, so the reorder holds four columns, not five.
-    counts, big_ns, means, log_means = [], [], [], []
-    for subset in subsets:
-        n_at, mean_at, log_mean_at = _subset_hits(lam, subset, ns, logs, threshold)
-        counts.append(len(n_at))
-        big_ns.append(n_at)
-        means.append(mean_at)
-        log_means.append(log_mean_at)
-    columns = [np.repeat(np.arange(len(subsets), dtype=np.int64), counts)]
-    for parts in (big_ns, means, log_means):
-        columns.append(np.concatenate(parts))
-        parts.clear()
-    order = np.lexsort((columns[0], columns[1], _ratio(*columns[2:])))
+    # N <= m and -m <= S(N) < m: S(N) = N would need f = 1 on every n <= N,
+    # yet f(23) = lambda(23) = -1 and S(N) <= 22 below 23.
+    dtypes = [np.min_scalar_type(k) for k in (len(subsets) - 1, m, -m)]
+    columns = [np.empty(0, dtype=dtype) for dtype in dtypes + [np.float64]]
+    for rank, subset in enumerate(subsets):
+        _subset_hits(lam, subset, ns, logs, threshold, columns, rank)
+    # The ratio key lives only as long as the lexsort call, and the sort
+    # replaces one column at a time, so the reorder holds the four columns,
+    # the order and one new column.
+    order = np.lexsort(
+        (columns[0], columns[1], _ratio(columns[2], columns[1], columns[3]))
+    )
     for i in range(len(columns)):
         columns[i] = columns[i][order]
     del order
-    return CounterexampleHits(subsets, *columns, _ratio(*columns[2:]))
+    return CounterexampleHits(subsets, *columns)
 
 
 def _subset_hits(
@@ -570,11 +580,13 @@ def _subset_hits(
     ns: np.ndarray,
     logs: np.ndarray,
     threshold: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """N, mean and log-mean at each hit of lambda flipped at subset's primes.
+    columns: list[np.ndarray],
+    rank: int,
+) -> None:
+    """Append rank, N, S(N) and log-mean at each hit of lambda flipped at
+    subset's primes to the four columns, each grown in place by the hits.
 
-    Its temporaries are freed on return, so they never sit between the
-    hits' parts on the heap.
+    Its temporaries are freed on return.
     """
     v = lam.astype(np.int64)
     m = len(v)
@@ -593,14 +605,27 @@ def _subset_hits(
         & (np.abs(log_means_at) < np.abs(means_at))
     )
     idx = np.flatnonzero(hit)
-    return idx + 2, means_at[idx], log_means_at[idx]
+    start = len(columns[0])
+    # Each column grows in place (a realloc) by exactly the hits. The list
+    # and this loop both hold it, so numpy's reference check would refuse;
+    # no view of a column is alive here or across calls.
+    for column in columns:
+        column.resize(start + len(idx), refcheck=False)
+    columns[0][start:] = rank
+    np.add(idx, 2, out=columns[1][start:], casting="unsafe")
+    columns[2][start:] = cs[1:][idx]
+    columns[3][start:] = log_means_at[idx]
 
 
-def _ratio(mean: np.ndarray, log_mean: np.ndarray) -> np.ndarray:
-    """|log_mean| / |mean|, divided in place."""
-    ratio = np.abs(log_mean)
-    ratio /= np.abs(mean)
-    return ratio
+def _ratio(S: np.ndarray, N: np.ndarray, log_mean: np.ndarray) -> np.ndarray:
+    """|log_mean| / |S / N| in one float64 buffer.
+
+    S / N is the mean as the search compares it; |a / b| equals |a| / |b|
+    bit for bit, so the signs are dropped after the division.
+    """
+    ratio = np.divide(S, N, dtype=np.float64)
+    np.divide(log_mean, ratio, out=ratio)
+    return np.abs(ratio, out=ratio)
 
 
 def least_nonresidue(p: int) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -25,6 +26,13 @@ def git_head(root, commit, packed=False):
         (git / "refs" / "heads" / "main").write_text(commit + "\n")
 
 
+def source(root):
+    """One src/charscan/*.py file, so the snapshot has a source to digest."""
+    src = root / "src" / "charscan"
+    src.mkdir(parents=True)
+    (src / "__init__.py").write_text("")
+
+
 def record(workload, seed, trace, wall, commit="abc123"):
     return {
         "workload": workload,
@@ -48,6 +56,7 @@ def test_copies_untraced_records_in_order(tmp_path, monkeypatch, capsys):
         path.write_text(json.dumps(record(workload, seed, trace, 1.5)))
     (records / "means-seed7-trace1-spans.jsonl").write_text("{}\n")
     git_head(tmp_path, "abc123")
+    source(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert load_tool().main(["t1"]) == 0
     payload = json.loads((tmp_path / "BENCH_t1.json").read_text())
@@ -84,6 +93,7 @@ def test_records_from_another_commit_are_skipped_and_named(tmp_path, monkeypatch
         json.dumps(record("scan", 13, 0, 9.9, commit="88bcad1"))
     )
     git_head(tmp_path, "abc123", packed=packed)
+    source(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert load_tool().main(["t3"]) == 0
     payload = json.loads((tmp_path / "BENCH_t3.json").read_text())
@@ -109,3 +119,41 @@ def test_only_stale_records_is_an_error(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "skipped paste-seed7-trace0.json, taken at 88bcad1" in err
     assert "no *-trace0.json records at abc123" in err
+
+
+def test_records_the_source_digest_beside_the_tag(tmp_path, monkeypatch, capsys):
+    records = tmp_path / ".perfbench" / "records"
+    records.mkdir(parents=True)
+    (records / "means-seed1-trace0.json").write_text(json.dumps(record("means", 1, 0, 0.3)))
+    git_head(tmp_path, "abc123")
+    src = tmp_path / "src" / "charscan"
+    src.mkdir(parents=True)
+    files = {"sums.py": b"S = 1\n", "arith.py": b"A = 2\n", "__init__.py": b""}
+    for name, data in files.items():
+        (src / name).write_bytes(data)
+    (src / "notes.txt").write_text("not source")
+    monkeypatch.chdir(tmp_path)
+    tool = load_tool()
+
+    def snapshot_digest(tag):
+        assert tool.main([tag]) == 0
+        payload = json.loads((tmp_path / f"BENCH_{tag}.json").read_text())
+        assert list(payload) == ["tag", "src_sha256", "records"]
+        return payload["src_sha256"]
+
+    expected = hashlib.sha256()
+    for name in sorted(files):
+        expected.update(f"src/charscan/{name}\0{len(files[name])}\0".encode() + files[name])
+    assert snapshot_digest("s1") == expected.hexdigest()
+    (src / "notes.txt").write_text("still not source")
+    assert snapshot_digest("s2") == expected.hexdigest()
+    # Moving a byte from one file to the next changes the digest.
+    (src / "arith.py").write_bytes(b"A = 2")
+    (src / "sums.py").write_bytes(b"\nS = 1\n")
+    assert snapshot_digest("s3") != expected.hexdigest()
+    # With no source file there is nothing to name: no snapshot, exit 1.
+    for path in src.glob("*.py"):
+        path.unlink()
+    assert tool.main(["s4"]) == 1
+    assert not (tmp_path / "BENCH_s4.json").exists()
+    assert "no *.py source files in src/charscan" in capsys.readouterr().err

@@ -29,6 +29,7 @@ from charscan.experiments import (
     _FLIP_POOL,
     CounterexampleHits,
     CounterexampleRecord,
+    _ratio,
     counterexample_search,
 )
 
@@ -365,6 +366,88 @@ class TestMemory:
         assert codes == [0]
         row_bytes = out.stat().st_size / len(hits)
         assert peak < 1.75 * columns_bytes(hits) + 2 * cli._HIT_CHUNK * row_bytes
+
+
+def test_default_search_peak_per_hit():
+    # The columns take 13 bytes (uint8 rank, uint16 N, int16 S, float64
+    # log-mean) per hit, and the peak adds the order and one reordered
+    # column, or the ratio key while lexsort runs. Five 8-byte columns and
+    # a key built through full-length temporaries took about 49 bytes a hit.
+    found = []
+    peak = traced_peak(lambda: found.append(counterexample_search(10**4, 2, 0.5)))
+    assert peak < 34 * len(found[0])
+
+
+@pytest.mark.parametrize(
+    "x_max, flip_budget, threshold",
+    [(10**5, 2, 0.0), (10**5, 2, 0.05), (2 * 10**4, 8, 0.0)],
+)
+def test_search_peak_grows_with_hits_not_pairs(x_max, flip_budget, threshold):
+    # With few or no hits the peak is one subset's length-x_max temporaries
+    # (about 75 bytes a value), whatever the number of subsets; columns
+    # sized for every (subset, N) pair would add 13 bytes per pair, 37 or
+    # 256 pairs per value here.
+    found = []
+    peak = traced_peak(
+        lambda: found.append(counterexample_search(x_max, flip_budget, threshold))
+    )
+    assert peak < 100 * x_max + 34 * len(found[0])
+
+
+class TestColumnTypes:
+    """Each stored column is the narrowest dtype that holds it, at its edges."""
+
+    @pytest.mark.parametrize("flip_budget", [0, 1])
+    def test_n_and_s_past_16_bits(self, flip_budget, tmp_path, capsys):
+        # N = 65,536 needs uint32 and S >= -65,536 needs int32; at this
+        # threshold both budgets have hits at N = 65,536. Budget 1 gives
+        # 285,655 rows, too many to render through the reference, so only
+        # budget 0's text is compared.
+        args = (65536, flip_budget, 0.1)
+        expected = reference_records(*args)
+        hits = counterexample_search(*args)
+        assert (hits.N.dtype, hits.S.dtype) == (np.uint32, np.int32)
+        assert hits.N.max() == 65536
+        assert hits == expected
+        if flip_budget == 0:
+            for fmt in ("json", "csv"):
+                got, _ = run_cli(argv_of(*args), tmp_path, capsys, fmt, True)
+                assert_same_text(got, reference_text(expected, fmt), fmt)
+
+    def test_every_rank_of_256_subsets_in_uint8(self):
+        args = (150, 8, 0.9)
+        expected = reference_records(*args)
+        hits = counterexample_search(*args)
+        assert len(hits.subsets) == 256
+        assert (hits.subset.dtype, hits.N.dtype, hits.S.dtype) == (np.uint8, np.uint8, np.int16)
+        assert hits.subset.max() == 255
+        assert hits == expected
+
+
+class TestDerivedColumns:
+    @pytest.fixture(scope="class")
+    def hits(self):
+        return counterexample_search(2003, 2, 0.9)
+
+    def test_stored_columns_are_read_only(self, hits):
+        for column in (hits.subset, hits.N, hits.S, hits.log_mean_at_N):
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    def test_mean_and_ratio_on_every_slice(self, hits):
+        n = len(hits)
+        for i in (slice(None), slice(5, 9000, 3), slice(n - 7, None), slice(None, None, -11), slice(3, 3)):
+            part = hits[i]
+            S, N, log_mean = hits.S[i], hits.N[i], hits.log_mean_at_N[i]
+            mean = S.astype(np.float64) / N.astype(np.float64)
+            assert part.mean_at_N.dtype == part.ratio.dtype == np.float64
+            assert part.mean_at_N.tobytes() == mean.tobytes()
+            assert part.ratio.tobytes() == _ratio(S, N, log_mean).tobytes()
+            assert part.ratio.tobytes() == (np.abs(log_mean) / np.abs(mean)).tobytes()
+            for column in (part.mean_at_N, part.ratio):
+                assert not column.flags.writeable
+                with pytest.raises(ValueError):
+                    column[:1] = 0.0
 
 
 class TestSequence:

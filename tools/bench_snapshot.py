@@ -15,16 +15,35 @@ git_commit is the HEAD the run saw, so runs of an uncommitted change name
 the commit it is based on. Only records taken at the current HEAD are
 copied; each other record is named on stderr and skipped, so runs left from
 an earlier commit never reach the snapshot. With no record left, the script
-exits 1.
+exits 1. Beside the tag, src_sha256 names the source the snapshot was taken
+beside: the sha256 over src/charscan/*.py in sorted order, each file fed as
+its path, a NUL, its length in decimal, a NUL and its bytes. With no
+such file, the script exits 1.
 """
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
 
 RECORDS = Path(".perfbench") / "records"
 GIT = Path(".git")
+SRC = Path("src") / "charscan"
+
+
+def source_sha256(src: Path) -> str | None:
+    """sha256 over the sorted *.py files of src: path, length, bytes; None
+    when src holds no such file."""
+    paths = sorted(src.glob("*.py"))
+    if not paths:
+        return None
+    digest = hashlib.sha256()
+    for path in paths:
+        data = path.read_bytes()
+        digest.update(f"{path.as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def head_commit(git: Path) -> str | None:
@@ -83,8 +102,12 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
+    src_sha256 = source_sha256(SRC)
+    if src_sha256 is None:
+        print(f"bench_snapshot: no *.py source files in {SRC}", file=sys.stderr)
+        return 1
     out = Path(f"BENCH_{args.tag}.json")
-    payload = {"tag": args.tag, "records": rows}
+    payload = {"tag": args.tag, "src_sha256": src_sha256, "records": rows}
     out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out}: {len(rows)} records")
     return 0
