@@ -7,8 +7,9 @@ equals math.fsum, and the short generator sums over character values use
 math.fsum itself. Quoted 1e-9 tolerances are therefore dominated by the
 mathematics rather than the summation order.
 
-A completely multiplicative function stores its prime values once, as a
-float64 array aligned with sieve_primes(limit). Each values_upto call sieves
+A completely multiplicative function is two read-only arrays: its float64
+prime values, aligned with primes = sieve_primes(limit), one sieve shared
+while any function on that limit holds it. Each values_upto call sieves
 smallest prime factors block by block as it expands, with no whole-range
 factor table. The statistics mean, log_mean and conv_mean take that
 expanded array, values = f.values_upto(x), so a caller reads several
@@ -18,7 +19,8 @@ statistics of one (f, x) from one expansion.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+import weakref
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,120 +96,97 @@ class Constants:
 CONSTANTS = Constants()
 
 
-def _prime_index(primes: np.ndarray, p) -> int | None:
-    """Position of p in the sorted primes, or None if p is not among them."""
-    i = int(np.searchsorted(primes, p))
-    if i < len(primes) and primes[i] == p:
-        return i
-    return None
+# sieve_primes(limit) for each limit some function holds, read-only.
+_live_primes: weakref.WeakValueDictionary[int, np.ndarray] = (
+    weakref.WeakValueDictionary()
+)
 
 
-def _floor_finite(x: float) -> int:
+def _floor_finite(x: float, name: str = "x") -> int:
     """floor(x), with a ValueError of its own for inf and nan."""
     if not math.isfinite(x):
-        raise ValueError("x must be a finite number")
+        raise ValueError(f"{name} must be a finite number")
     return math.floor(x)
 
 
-class _PrimeValues(Mapping[int, float]):
-    """Read-only {p: f(p)} view of values aligned with sieve_primes(limit).
+def _shared_primes(limit: int) -> np.ndarray:
+    """sieve_primes(limit), read-only, shared while anyone holds it.
 
-    It copies nothing: lookup, iteration and comparison read the two arrays.
+    limit must be an integer >= 1 (not a bool), checked before any sieve.
+    Every function on one limit holds the same array, so flip, and a
+    classmethod that holds the primes while it sizes its values, sieve
+    nothing more: one sieve per function.
     """
-
-    def __init__(self, primes: np.ndarray, values: np.ndarray, limit: int):
-        self._primes = primes
-        self._values = values
-        self._limit = limit
-
-    def __getitem__(self, p) -> float:
-        i = _prime_index(self._primes, p)
-        if i is None:
-            raise KeyError(p)
-        return float(self._values[i])
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._primes.tolist())
-
-    def __len__(self) -> int:
-        return len(self._primes)
-
-
-def _from_mapping(
-    given: Mapping[int, float], limit: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays (primes, values) aligned with sieve_primes(limit), from {p: f(p)}."""
-    keys = list(given)
-    values = np.array([given[p] for p in keys], dtype=np.float64)
-    outside = np.flatnonzero(~((values >= -1.0) & (values <= 1.0)))
-    if len(outside):
-        i = outside[0]
-        raise ValueError(f"f({keys[i]}) = {values[i]} lies outside [-1, 1]")
-    primes = sieve_primes(limit)
-    if sorted(keys) != primes.tolist():
-        raise ValueError("prime_values must cover exactly the primes <= limit")
-    return primes, values[np.argsort(keys)]
+    if isinstance(limit, bool) or not isinstance(limit, (int, np.integer)):
+        raise TypeError(f"limit must be an integer, not {limit!r}")
+    if limit < 1:
+        raise ValueError("limit must be positive")
+    limit = int(limit)
+    primes = _live_primes.get(limit)
+    if primes is None:
+        primes = sieve_primes(limit)
+        primes.setflags(write=False)
+        _live_primes[limit] = primes
+    return primes
 
 
 @dataclass(frozen=True, eq=False)
 class CompletelyMultiplicativeFunction:
     """f with f(1) = 1 and f(mn) = f(m) f(n), pinned by prime values in [-1, 1].
 
-    prime_values must hold exactly the primes up to limit so that every f(n)
-    with n <= limit is determined. The values are stored once, as the
-    read-only float64 array `values` aligned with `primes` =
-    sieve_primes(limit); after construction prime_values is a read-only
-    mapping view of those two arrays.
+    values[i] is f at primes[i], the i-th prime up to limit, where primes =
+    sieve_primes(limit), so every f(n) with n <= limit is determined. Both
+    are stored read-only, and values is a float64 copy of the array given.
+    A {p: f(p)} dict is dict(zip(f.primes.tolist(), f.values.tolist())).
     """
 
-    prime_values: Mapping[int, float]
+    values: np.ndarray
     limit: int
     primes: np.ndarray = field(init=False, repr=False)
-    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.limit < 1:
-            raise ValueError("limit must be positive")
-        view = self.prime_values
-        if isinstance(view, _PrimeValues) and view._limit == self.limit:
-            # Built by this class from sieve_primes(limit): valid as it stands.
-            primes, values = view._primes, view._values
-        else:
-            primes, values = _from_mapping(view, self.limit)
-            view = _PrimeValues(primes, values, self.limit)
-        primes.setflags(write=False)
+        primes = _shared_primes(self.limit)
+        values = np.array(self.values, dtype=np.float64)
+        if values.shape != primes.shape:
+            raise ValueError(
+                f"values must hold f(p) for the {len(primes)} primes <= "
+                f"{self.limit}, not an array of shape {values.shape}"
+            )
+        outside = np.flatnonzero(~((values >= -1.0) & (values <= 1.0)))
+        if len(outside):
+            i = outside[0]
+            raise ValueError(f"f({primes[i]}) = {values[i]} lies outside [-1, 1]")
         values.setflags(write=False)
-        object.__setattr__(self, "prime_values", view)
+        object.__setattr__(self, "limit", int(self.limit))
         object.__setattr__(self, "primes", primes)
         object.__setattr__(self, "values", values)
 
     @classmethod
     def ones(cls, limit: int) -> "CompletelyMultiplicativeFunction":
-        ps = sieve_primes(limit)
-        return cls(_PrimeValues(ps, np.ones(len(ps)), limit), limit)
+        primes = _shared_primes(limit)
+        return cls(np.ones(len(primes)), limit)
 
     @classmethod
     def liouville(cls, limit: int) -> "CompletelyMultiplicativeFunction":
-        ps = sieve_primes(limit)
-        return cls(_PrimeValues(ps, np.full(len(ps), -1.0), limit), limit)
+        primes = _shared_primes(limit)
+        return cls(np.full(len(primes), -1.0), limit)
 
     @classmethod
     def random(
         cls, limit: int, rng: np.random.Generator
     ) -> "CompletelyMultiplicativeFunction":
-        ps = sieve_primes(limit)
-        vals = rng.uniform(-1.0, 1.0, size=len(ps))
-        return cls(_PrimeValues(ps, vals, limit), limit)
+        primes = _shared_primes(limit)
+        return cls(rng.uniform(-1.0, 1.0, size=len(primes)), limit)
 
     def flip(self, primes_to_flip: Sequence[int]) -> "CompletelyMultiplicativeFunction":
         """Negate f at the given primes (each must be a prime <= limit)."""
         values = self.values.copy()
         for p in primes_to_flip:
-            i = _prime_index(self.primes, p)
-            if i is None:
+            i = int(np.searchsorted(self.primes, p))
+            if i == len(self.primes) or self.primes[i] != p:
                 raise ValueError(f"{p} is not a prime <= {self.limit}")
             values[i] = -values[i]
-        return type(self)(_PrimeValues(self.primes, values, self.limit), self.limit)
+        return type(self)(values, self.limit)
 
     def values_upto(self, x: float) -> np.ndarray:
         """f(1..floor(x)) as float64 (index i holds n = i + 1).
@@ -281,7 +260,7 @@ def partial_sum(chi: QuadraticCharacter, t: float) -> int:
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    m = math.floor(t)
+    m = _floor_finite(t, "t")
     if m >= chi.modulus:
         m %= chi.modulus
     return sum(evaluate(chi, n) for n in range(1, m + 1))
@@ -582,7 +561,7 @@ def log_mean(values: np.ndarray, x: float) -> float:
 
 def character_log_sum(chi: QuadraticCharacter, t: float) -> float:
     """Sum of chi(n)/n over n <= floor(t); empty below t = 1."""
-    m = math.floor(t) if t >= 1 else 0
+    m = 0 if t < 1 else _floor_finite(t, "t")
     return math.fsum(evaluate(chi, n) / n for n in range(1, m + 1))
 
 
@@ -592,7 +571,7 @@ def restricted_log_sum(xi: QuadraticCharacter, t: float, ell: int) -> float:
         raise ValueError("ell must be an odd prime")
     if t < 1:
         raise ValueError("t must be at least 1")
-    m = math.floor(t)
+    m = _floor_finite(t, "t")
     return math.fsum(evaluate(xi, n) / n for n in range(1, m + 1) if n % ell)
 
 

@@ -29,7 +29,6 @@ from charscan.sums import (
     _SUM_BLOCK,
     CompletelyMultiplicativeFunction,
     _exact_total as sums_exact_total,
-    _PrimeValues,
     character_log_sum,
     conv_mean,
     gs_bound,
@@ -321,18 +320,14 @@ def reference_candidates(x, trials, seed):
     """The candidates of estimate_delta, one function object each, in order."""
     m = math.floor(x)
     rng = np.random.default_rng(seed)
-    primes = sieve_primes(m)
-
-    def on_primes(values):
-        return CMF(_PrimeValues(primes, values, m), m)
-
-    candidates = [("ones", on_primes(np.ones(len(primes))))]
-    candidates.append(("all_primes_flipped", on_primes(np.full(len(primes), -1.0))))
+    size = len(sieve_primes(m))
+    candidates = [("ones", CMF(np.ones(size), m))]
+    candidates.append(("all_primes_flipped", CMF(np.full(size, -1.0), m)))
     for p in (2, 3, 5, 7):
         if p <= m:
-            candidates.append((f"ones_flipped_at_{p}", on_primes(np.ones(len(primes))).flip([p])))
+            candidates.append((f"ones_flipped_at_{p}", CMF(np.ones(size), m).flip([p])))
     for i in range(trials):
-        candidates.append((f"random_{i}", on_primes(rng.uniform(-1.0, 1.0, size=len(primes)))))
+        candidates.append((f"random_{i}", CMF(rng.uniform(-1.0, 1.0, size=size), m)))
     return candidates
 
 
@@ -434,7 +429,7 @@ class TestEstimateDelta:
 
     @pytest.mark.parametrize("c,x,trials,seed", [(0.1, 1000, 20, 3), (0.5, 300.5, 7, 11), (0.9, 6, 4, 0)])
     def test_matches_separately_built_candidates(self, c, x, trials, seed):
-        # The candidates as ones/liouville/random build them, one sieve each.
+        # The candidates as ones/liouville/random build them.
         m = math.floor(x)
         rng = np.random.default_rng(seed)
         candidates = [("ones", CMF.ones(m)), ("all_primes_flipped", CMF.liouville(m))]

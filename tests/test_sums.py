@@ -105,6 +105,8 @@ class TestPartialSum:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             partial_sum(xi(3), -0.1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            partial_sum(xi(3), -math.inf)
 
     def test_vanishes_on_full_periods(self):
         for chi in (xi(3), xi(11), chi21()):
@@ -186,7 +188,8 @@ class TestMaxPartialSum:
 class TestMultiplicativeFunctions:
     def test_ones_and_liouville(self):
         ones = CMF.ones(20)
-        assert all(v == 1.0 for v in ones.prime_values.values())
+        assert ones.values.tolist() == [1.0] * 8
+        assert ones.primes.tolist() == [2, 3, 5, 7, 11, 13, 17, 19]
         lam = CMF.liouville(20)
         assert list(lam.values_upto(10)) == [1, -1, -1, 1, -1, 1, -1, -1, 1, 1]
 
@@ -202,49 +205,87 @@ class TestMultiplicativeFunctions:
     def test_random_is_seed_deterministic(self):
         a = CMF.random(100, np.random.default_rng(9))
         b = CMF.random(100, np.random.default_rng(9))
-        assert a.prime_values == b.prime_values
-        assert all(-1.0 <= v <= 1.0 for v in a.prime_values.values())
+        assert np.array_equal(a.primes, b.primes)
+        assert np.array_equal(a.values, b.values)
+        assert ((-1.0 <= a.values) & (a.values <= 1.0)).all()
 
     def test_flip(self):
         f = CMF.ones(30).flip([2, 5])
-        assert f.prime_values[2] == -1.0
-        assert f.prime_values[5] == -1.0
-        assert f.prime_values[3] == 1.0
+        at = dict(zip(f.primes.tolist(), f.values.tolist()))
+        assert at[2] == -1.0
+        assert at[5] == -1.0
+        assert at[3] == 1.0
         vals = f.values_upto(10)
         assert vals[9] == 1.0  # 10 = 2 * 5, two flips cancel
         assert vals[3] == 1.0  # 4 = 2 * 2
         assert vals[5] == -1.0  # 6 = 2 * 3
 
-    def test_validation_errors(self):
-        with pytest.raises(ValueError):
-            CMF({2: 1.5, 3: 1.0, 5: 1.0, 7: 1.0}, 7)
-        with pytest.raises(ValueError):
-            CMF({2: 1.0, 3: 1.0}, 7)  # 5 and 7 missing
-        with pytest.raises(ValueError):
-            CMF({2: 1.0, 3: 1.0, 4: 1.0}, 3)  # 4 is not prime
-        with pytest.raises(ValueError):
-            CMF({}, 0)
+    def test_validation_errors(self, monkeypatch):
+        with pytest.raises(ValueError, match="outside"):
+            CMF(np.array([1.5, 1.0, 1.0, 1.0]), 7)
+        with pytest.raises(ValueError, match="outside"):
+            CMF(np.array([1.0, np.nan, 1.0, 1.0]), 7)
+        with pytest.raises(ValueError, match="4 primes"):
+            CMF(np.array([1.0, 1.0]), 7)  # 5 and 7 missing
+        with pytest.raises(ValueError, match="2 primes"):
+            CMF(np.array([1.0, 1.0, 1.0]), 3)  # one value too many
+        with pytest.raises(ValueError, match="positive"):
+            CMF(np.ones(0), 0)
         with pytest.raises(ValueError):
             CMF.ones(30).flip([4])
         with pytest.raises(ValueError):
             CMF.ones(30).flip([31])
 
-    def test_prime_values_is_a_read_only_view(self):
+        def no_sieve(limit):
+            raise AssertionError("sieved before checking limit")
+
+        # A non-integer limit is rejected before any sieve runs.
+        monkeypatch.setattr(sums, "sieve_primes", no_sieve)
+        for bad in (1.5, 10.0, True, "7", None):
+            with pytest.raises(TypeError, match="limit must be an integer"):
+                CMF(np.ones(4), bad)
+        for bad in (10.5, True):
+            with pytest.raises(TypeError, match="limit must be an integer"):
+                CMF.ones(bad)
+        with pytest.raises(TypeError, match="limit must be an integer"):
+            CMF.liouville(7.0)
+        with pytest.raises(TypeError, match="limit must be an integer"):
+            CMF.random(False, np.random.default_rng(0))
+
+    def test_arrays_are_read_only(self):
         f = CMF.random(50, np.random.default_rng(4))
-        with pytest.raises(TypeError):
-            f.prime_values[2] = 0.5
         with pytest.raises(ValueError):
             f.values[0] = 0.5
-        assert list(f.prime_values) == list(sieve_primes(50))
-        assert CMF.ones(10).prime_values == {2: 1.0, 3: 1.0, 5: 1.0, 7: 1.0}
-        assert 4 not in f.prime_values and 47 in f.prime_values
+        with pytest.raises(ValueError):
+            f.primes[0] = 3
+        assert f.primes.tolist() == sieve_primes(50).tolist()
+        ones = CMF.ones(10)
+        assert dict(zip(ones.primes.tolist(), ones.values.tolist())) == {
+            2: 1.0, 3: 1.0, 5: 1.0, 7: 1.0,
+        }
 
-    def test_mapping_in_any_order_is_aligned(self):
-        f = CMF.random(200, np.random.default_rng(6))
-        backwards = dict(reversed(list(f.prime_values.items())))
-        g = CMF(backwards, 200)
-        assert np.array_equal(g.values, f.values)
-        assert g.values_upto(200).tobytes() == f.values_upto(200).tobytes()
+    def test_values_are_copied_from_the_caller(self):
+        given = np.array([1.0, -1.0, 0.5, 0.0])
+        f = CMF(given, 7)
+        given[:] = -1.0
+        assert f.values.tolist() == [1.0, -1.0, 0.5, 0.0]
+        assert given.flags.writeable
+        assert list(f.values_upto(7)) == [1.0, 1.0, -1.0, 1.0, 0.5, -1.0, 0.0]
+        g = CMF([1, -1, 1, 1], np.int64(7))  # any float64-convertible sequence
+        assert g.values.dtype == np.float64 and type(g.limit) is int
+
+    def test_limit_shares_one_primes_array(self):
+        f = CMF.ones(100)
+        assert CMF.liouville(100).primes is f.primes
+        assert f.flip([2]).primes is f.primes
+        assert CMF(f.values, 100).primes is f.primes
+
+    def test_repr_shows_values_not_an_address(self):
+        text = repr(CMF.ones(10))
+        assert text == (
+            "CompletelyMultiplicativeFunction(values=array([1., 1., 1., 1.]), limit=10)"
+        )
+        assert "object at 0x" not in text
 
     def test_random_draws_one_uniform_per_prime(self):
         f = CMF.random(1000, np.random.default_rng(8))
@@ -252,7 +293,7 @@ class TestMultiplicativeFunctions:
             -1, 1, size=len(sieve_primes(1000))
         )
         assert np.array_equal(f.values, expected)
-        assert list(f.prime_values.values()) == expected.tolist()
+        assert len(f.primes) == 168
 
     def test_sieves_at_most_once_per_function(self, monkeypatch):
         calls = []
@@ -267,7 +308,7 @@ class TestMultiplicativeFunctions:
         g.values_upto(1000)
         f.values_upto(500)
         assert len(calls) == 1
-        CMF({2: 1.0, 3: -1.0, 5: 0.5, 7: 0.0}, 7).values_upto(7)
+        CMF(np.array([1.0, -1.0, 0.5, 0.0]), 7).values_upto(7)
         assert len(calls) == 2
 
     def test_values_upto_bounds(self):
@@ -522,10 +563,25 @@ class TestNonFiniteX:
             with pytest.raises(ValueError, match="x must be a finite number"):
                 call(bad)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "pointwise",
+        [
+            lambda t: partial_sum(xi(7), t),
+            lambda t: character_log_sum(xi(7), t),
+            lambda t: restricted_log_sum(xi(7), t, 3),
+        ],
+        ids=["partial_sum", "character_log_sum", "restricted_log_sum"],
+    )
+    def test_pointwise_sums_reject_t(self, pointwise, bad):
+        with pytest.raises(ValueError, match="t must be a finite number"):
+            pointwise(bad)
+
 
 class TestLogSums:
     def test_character_log_sum(self):
         assert character_log_sum(xi(3), 0.5) == 0.0
+        assert character_log_sum(xi(3), -math.inf) == 0.0
         assert character_log_sum(xi(3), 1) == 1.0
         direct = 1.0 - 1.0 / 2 + 1.0 / 4 - 1.0 / 5 + 1.0 / 7 - 1.0 / 8
         assert character_log_sum(xi(3), 9.7) == pytest.approx(direct, rel=1e-15)
@@ -548,6 +604,8 @@ class TestLogSums:
                 restricted_log_sum(xi(7), 10, ell)
         with pytest.raises(ValueError):
             restricted_log_sum(xi(7), 0.5, 3)
+        with pytest.raises(ValueError, match="at least 1"):
+            restricted_log_sum(xi(7), -math.inf, 3)
 
     @given(
         st.sampled_from([3, 7, 11, 19, 23]),
@@ -581,9 +639,10 @@ class TestHtIngredients:
 
     def test_u_matches_prime_loop(self):
         f = CMF.random(5000, np.random.default_rng(2))
+        at = dict(zip(f.primes.tolist(), f.values.tolist()))
         for x in (2, 2.5, 97, 1000.7, 5000):
             expected = math.fsum(
-                (1.0 - f.prime_values[int(p)]) / int(p) for p in sieve_primes(int(x))
+                (1.0 - at[int(p)]) / int(p) for p in sieve_primes(int(x))
             )
             assert ht_u(f, x) == expected
 
