@@ -52,13 +52,6 @@ class QuadraticCharacter:
         if self.parity != expected:
             raise ValueError(f"parity must be {expected!r} for these factors")
 
-    def to_json(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "factors": list(self.factors),
-            "parity": self.parity,
-        }
-
 
 def legendre_character(p: int) -> QuadraticCharacter:
     """The Legendre symbol (. / p) as a character mod an odd prime p."""
@@ -160,9 +153,9 @@ def _shared_value_table(p: int) -> np.ndarray:
     """_legendre_value_table(p), read-only, shared while anyone holds it.
 
     verify_lemma_bg holds xi's tables across its walk mod p*ell and its walk
-    mod p, so a thm-a call builds each table once. _value_blocks reads a
-    held table but builds any other for itself, so a pv-scan, whose walks
-    share nothing, pays no bookkeeping and keeps no table past its walk.
+    mod p, so a thm-a call builds each table once. _value_blocks takes its
+    tables from here too, and holds them only while it walks, so a walk
+    keeps no table past its end.
     """
     table = _live_tables.get(p)
     if table is None:
@@ -175,8 +168,8 @@ def _shared_value_table(p: int) -> np.ndarray:
 def _value_blocks(chi: QuadraticCharacter, limit: int) -> Iterator[np.ndarray]:
     """chi(n) for 1 <= n <= limit as consecutive int8 blocks of _BLOCK values.
 
-    Each prime factor p reads the table mod p that a caller of
-    _shared_value_table holds, or else a new one. A factor with p below the
+    Each prime factor p reads its table mod p from _shared_value_table, so
+    a table a caller holds is not built again. A factor with p below the
     block length extends it periodically to a table E_p with E_p[a] = (a/p)
     of min(_BLOCK + p - 1, limit + 1) values, long enough for any block at
     any phase. The block for n = a+1..a+L is then the slice of each table at
@@ -191,9 +184,7 @@ def _value_blocks(chi: QuadraticCharacter, limit: int) -> Iterator[np.ndarray]:
     step = min(limit, _BLOCK)
     tables = []
     for p in chi.factors:
-        table = _live_tables.get(p)
-        if table is None:
-            table = _legendre_value_table(p)
+        table = _shared_value_table(p)
         if p < step:
             length = min(step + p - 1, limit + 1)
             table = np.tile(table, -(-length // p))[:length]

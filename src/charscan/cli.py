@@ -6,7 +6,8 @@ process), 130 interrupted (SIGINT). The conductor scan keeps an append-only
 JSON-lines cache, one record per line, guarded by a lock file against
 concurrent runs; reruns skip cached conductors unless --force, which
 recomputes and rewrites the file atomically. Rows are emitted as JSON or
-CSV with fixed column orders; summaries go to stderr.
+CSV; a report's row is its dataclass fields in declaration order, and
+pv-scan's columns are SCAN_COLUMNS. Summaries go to stderr.
 
 Work that splits into chunks runs on worker processes through _forked_map:
 chunk i runs on process i mod workers, this process being process 0, and
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -272,9 +274,12 @@ def _write(chunks: Iterable[str], args: argparse.Namespace) -> None:
             fh.write(chunk)
 
 
-def _emit(rows: list[dict], columns: list[str], args: argparse.Namespace) -> None:
-    """Write rows as JSON or CSV to --out, or stdout when no path was given."""
-    _write([_render(rows, columns, args.format)], args)
+def _emit(rows: list[dict], args: argparse.Namespace) -> None:
+    """Write rows as JSON or CSV to --out, or stdout when no path was given.
+
+    The columns are the first row's keys, in order; every caller has a row.
+    """
+    _write([_render(rows, list(rows[0]), args.format)], args)
 
 
 def _hit_format(
@@ -511,8 +516,8 @@ def _cmd_pv_scan(args: argparse.Namespace) -> int:
 def _cmd_burgess_scan(args: argparse.Namespace) -> int:
     _capacity(args.p, args)
     points = burgess_scan(args.p, args.thetas)
-    rows = [point.to_json() for point in points]
-    _emit(rows, ["theta", "t", "s", "ratio"], args)
+    rows = [dataclasses.asdict(point) for point in points]
+    _emit(rows, args)
     print(
         f"burgess-scan: p={args.p}, {len(rows)} points, "
         f"max ratio={max(r['ratio'] for r in rows):.6f}",
@@ -534,7 +539,7 @@ def _cmd_means(args: argparse.Namespace) -> int:
             "log_mean": log_mean(vals, args.x),
         }
     ]
-    _emit(rows, ["f", "x", "mean", "log_mean"], args)
+    _emit(rows, args)
     return 0
 
 
@@ -543,34 +548,20 @@ def _cmd_lemma_b(args: argparse.Namespace) -> int:
     _capacity(m, args)
     if args.trials is not None:
         estimate = estimate_delta(args.c, args.x, args.trials, args.seed)
-        rows = [estimate.to_json()]
-        _emit(rows, ["delta_hat", "worst_f", "qualifying", "candidates"], args)
+        _emit([dataclasses.asdict(estimate)], args)
         return 0
     label, f = _make_function(args, m)
     report = lemma_b_report(f, args.x, min_x=args.min_x)
-    rows = [{"f": label, **report.to_json()}]
-    _emit(
-        rows,
-        [
-            "f",
-            "x",
-            "mean",
-            "log_mean",
-            "u",
-            "conv_mean",
-            "gs_bound",
-            "ht_envelope",
-            "ht_constant",
-            "flags",
-        ],
-        args,
-    )
+    _emit([{"f": label, **dataclasses.asdict(report)}], args)
     return 0
 
 
 def _cmd_thm_a(args: argparse.Namespace) -> int:
     report = theorem_a_pipeline(args.p, args.epsilon, args.c, max_modulus=args.limit)
-    payload = report.to_json()
+    payload = dataclasses.asdict(report)
+    payload["chain_lines"] = [
+        {"label": label, "value": value} for label, value in report.chain_lines
+    ]
     payload["timestamp"] = int(time.time())
     out = Path(args.out) if args.out is not None else Path(f"thm-a-{args.p}.json")
     out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -605,7 +596,7 @@ def _cmd_nonresidue(args: argparse.Namespace) -> int:
         rows.append(
             {"p": p, "least_nonresidue": n, "exponent": math.log(n) / math.log(p)}
         )
-    _emit(rows, ["p", "least_nonresidue", "exponent"], args)
+    _emit(rows, args)
     worst = max(rows, key=lambda r: r["exponent"])
     print(
         f"nonresidue: {len(rows)} odd primes <= {args.pmax}; "

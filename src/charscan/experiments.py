@@ -86,7 +86,7 @@ _FLIP_POOL = (2, 3, 5, 7, 11, 13, 17, 19)
 
 def choose_ell(delta: float) -> int:
     """Smallest prime exceeding 2/delta in the class 3 mod 4."""
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     return smallest_prime_above(2.0 / delta, 3, 4)
 
@@ -117,9 +117,6 @@ class LemmaBgAudit:
     lhs: float
     rhs_main: float
     gap: float
-
-    def to_json(self) -> dict:
-        return {"lhs": self.lhs, "rhs_main": self.rhs_main, "gap": self.gap}
 
 
 def _log_sum_tail_bound(m_xi: int, n: int, q: int) -> float:
@@ -224,27 +221,6 @@ class WitnessReport:
     chain_lines: tuple[tuple[str, float], ...]
     final_ratio: float
     flags: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "c": self.c,
-            "epsilon": self.epsilon,
-            "p": self.p,
-            "t_p": self.t_p,
-            "delta": self.delta,
-            "ell": self.ell,
-            "q": self.q,
-            "mean_xi": self.mean_xi,
-            "log_mean_xi": self.log_mean_xi,
-            "restricted_sum": self.restricted_sum,
-            "lemma_bg_lhs": self.lemma_bg_lhs,
-            "lemma_bg_rhs_main": self.lemma_bg_rhs_main,
-            "chain_lines": [
-                {"label": label, "value": value} for label, value in self.chain_lines
-            ],
-            "final_ratio": self.final_ratio,
-            "flags": list(self.flags),
-        }
 
 
 def theorem_a_pipeline(
@@ -365,14 +341,6 @@ class DeltaEstimate:
     qualifying: int
     candidates: int
 
-    def to_json(self) -> dict:
-        return {
-            "delta_hat": self.delta_hat,
-            "worst_f": self.worst_f,
-            "qualifying": self.qualifying,
-            "candidates": self.candidates,
-        }
-
 
 def estimate_delta(c: float, x: float, trials: int, seed: int) -> DeltaEstimate:
     """Sample completely multiplicative f and track the worst qualifying log-mean.
@@ -442,14 +410,6 @@ class CounterexampleRecord:
     N: int
     mean_at_N: float
     log_mean_at_N: float
-
-    def to_json(self) -> dict:
-        return {
-            "flipped_primes": list(self.flipped_primes),
-            "N": self.N,
-            "mean_at_N": self.mean_at_N,
-            "log_mean_at_N": self.log_mean_at_N,
-        }
 
 
 class CounterexampleHits(Sequence[CounterexampleRecord]):
@@ -539,13 +499,13 @@ def counterexample_search(
     are recomputed from S and N when read. The columns grow by each
     subset's hits, so they never hold more rows than there are hits.
     """
-    if x_max < 100:
+    m = _floor_finite(x_max, "x_max")
+    if m < 100:
         raise ValueError("x_max must be at least 100")
     if flip_budget < 0:
         raise ValueError("flip_budget must be nonnegative")
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError("threshold must be nonnegative")
-    m = math.floor(x_max)
     lam = liouville(m)
     ns = np.arange(1, m + 1, dtype=np.float64)
     logs = np.log(ns[1:])
@@ -599,10 +559,11 @@ def _subset_hits(
     running = np.cumsum(v / ns)
     means_at = cs[1:] / ns[1:]
     log_means_at = running[1:] / logs
-    hit = (
-        (cs[1:] != 0)
-        & (np.abs(log_means_at) < threshold * np.abs(means_at))
-        & (np.abs(log_means_at) < np.abs(means_at))
+    # |log-mean| < threshold |mean| and < |mean| at once: rounding is
+    # monotone, so the factor min(threshold, 1) keeps exactly those hits, and
+    # an infinite threshold never multiplies a zero mean.
+    hit = (cs[1:] != 0) & (
+        np.abs(log_means_at) < min(threshold, 1.0) * np.abs(means_at)
     )
     idx = np.flatnonzero(hit)
     start = len(columns[0])
@@ -646,9 +607,6 @@ class BurgessPoint:
     t: float
     s: int
     ratio: float
-
-    def to_json(self) -> dict:
-        return {"theta": self.theta, "t": self.t, "s": self.s, "ratio": self.ratio}
 
 
 def burgess_scan(p: int, thetas: Sequence[float]) -> list[BurgessPoint]:

@@ -220,9 +220,6 @@ class SumProfile:
     max_abs: int
     argmax: int
 
-    def to_json(self) -> dict:
-        return {"modulus": self.modulus, "max_abs": self.max_abs, "argmax": self.argmax}
-
 
 @dataclass(frozen=True)
 class MeansReport:
@@ -237,19 +234,6 @@ class MeansReport:
     ht_envelope: float
     ht_constant: float
     flags: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "x": self.x,
-            "mean": self.mean,
-            "log_mean": self.log_mean,
-            "u": self.u,
-            "conv_mean": self.conv_mean,
-            "gs_bound": self.gs_bound,
-            "ht_envelope": self.ht_envelope,
-            "ht_constant": self.ht_constant,
-            "flags": list(self.flags),
-        }
 
 
 def partial_sum(chi: QuadraticCharacter, t: float) -> int:
@@ -611,9 +595,9 @@ def ht_u(f: CompletelyMultiplicativeFunction, x: float) -> float:
 
 def gs_bound(u: float, x: float) -> float:
     """Main term exp(-u * exp(u/2)) * log x of the convolution-mean lower bound."""
-    if u < 0:
+    if not u >= 0:
         raise ValueError("u must be nonnegative")
-    if x < 2:
+    if not x >= 2:
         raise ValueError("x must be at least 2")
     return math.exp(-u * math.exp(u / 2.0)) * math.log(x)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -126,7 +127,7 @@ class TestConstruction:
 
     def test_serialized_form(self):
         chi = product_character(legendre_character(7), legendre_character(3))
-        assert chi.to_json() == {"modulus": 21, "factors": [3, 7], "parity": "even"}
+        assert asdict(chi) == {"modulus": 21, "factors": (3, 7), "parity": "even"}
 
 
 class TestEvaluate:

@@ -8,6 +8,7 @@ the hits as numpy columns and formats the rows straight from them.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -81,7 +82,7 @@ def reference_text(records, fmt):
     """The rows as the CLI rendered them through one dict per hit."""
     rows = []
     for rec in records:
-        row = rec.to_json()
+        row = dataclasses.asdict(rec)
         row["ratio"] = ratio_of(rec)
         rows.append(row)
     if fmt == "json":

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -52,8 +54,8 @@ class TestChooseEll:
         assert choose_ell(0.1) == 23
 
     def test_rejects_nonpositive(self):
-        for delta in (0.0, -1.0):
-            with pytest.raises(ValueError):
+        for delta in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="delta must be positive"):
                 choose_ell(delta)
 
     @given(st.floats(0.01, 10.0))
@@ -132,8 +134,8 @@ class TestVerifyLemmaBg:
 
     def test_serialized_form(self):
         audit = verify_lemma_bg(xi(3), xi(7))
-        js = audit.to_json()
-        assert set(js) == {"lhs", "rhs_main", "gap"}
+        js = asdict(audit)
+        assert list(js) == ["lhs", "rhs_main", "gap"]
         assert js["gap"] == audit.gap
 
 
@@ -240,11 +242,13 @@ class TestTheoremAPipeline:
         assert not characters._live_tables
 
     def test_serialized_form(self):
-        js = theorem_a_pipeline(3, 0.5, 0.5).to_json()
+        report = theorem_a_pipeline(3, 0.5, 0.5)
+        js = asdict(report)
         assert js["q"] == 21
-        assert js["flags"] == [FLAG_ELL_BUMPED]
+        assert js["flags"] == (FLAG_ELL_BUMPED,)
+        assert js["chain_lines"] == report.chain_lines
         assert len(js["chain_lines"]) == 6
-        assert set(js["chain_lines"][0]) == {"label", "value"}
+        assert [len(line) for line in js["chain_lines"]] == [2] * 6
 
 
 class TestLemmaBReport:
@@ -307,13 +311,13 @@ class TestLemmaBReport:
             lemma_b_report(CMF.ones(200), bad)
 
     def test_serialized_form(self):
-        js = lemma_b_report(CMF.ones(200), 200).to_json()
+        js = asdict(lemma_b_report(CMF.ones(200), 200))
         assert js["x"] == 200.0
-        assert js["flags"] == []
-        assert set(js) == {
+        assert js["flags"] == ()
+        assert list(js) == [
             "x", "mean", "log_mean", "u", "conv_mean", "gs_bound",
             "ht_envelope", "ht_constant", "flags",
-        }
+        ]
 
 
 def reference_candidates(x, trials, seed):
@@ -400,7 +404,7 @@ class TestEstimateDelta:
     def test_nothing_qualifies(self):
         est = estimate_delta(1.0, 10.5, 5, seed=1)
         assert est == type(est)(None, None, 0, 11)
-        assert est.to_json() == {
+        assert asdict(est) == {
             "delta_hat": None, "worst_f": None, "qualifying": 0, "candidates": 11,
         }
 
@@ -531,11 +535,32 @@ class TestCounterexampleSearch:
         with pytest.raises(ValueError):
             counterexample_search(150, 1, -0.5)
 
+    @pytest.mark.parametrize(
+        "x_max, threshold, message",
+        [
+            (math.inf, 0.5, "x_max must be a finite number"),
+            (-math.inf, 0.5, "x_max must be a finite number"),
+            (math.nan, 0.5, "x_max must be a finite number"),
+            (200, math.nan, "threshold must be nonnegative"),
+        ],
+    )
+    def test_non_finite_input_rejected(self, x_max, threshold, message):
+        with pytest.raises(ValueError, match=message):
+            counterexample_search(x_max, 1, threshold)
+
+    def test_infinite_threshold_is_threshold_one(self):
+        # |log-mean| < |mean| is the binding condition for any threshold >= 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hits = counterexample_search(200, 1, math.inf)
+        assert len(hits) > 0
+        assert list(hits) == list(counterexample_search(200, 1, 1.0))
+
     def test_serialized_form(self):
         rec = counterexample_search(200, 1, 0.9)[0]
-        js = rec.to_json()
+        js = asdict(rec)
         assert js["N"] == rec.N
-        assert js["flipped_primes"] == list(rec.flipped_primes)
+        assert js["flipped_primes"] == rec.flipped_primes
 
 
 @pytest.mark.parametrize(
@@ -629,7 +654,7 @@ class TestBurgessScan:
 
     def test_serialized_form(self):
         (point,) = burgess_scan(19, [0.5])
-        assert set(point.to_json()) == {"theta", "t", "s", "ratio"}
+        assert list(asdict(point)) == ["theta", "t", "s", "ratio"]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -182,7 +183,7 @@ class TestMaxPartialSum:
 
     def test_serialized_form(self):
         prof = max_partial_sum(xi(3))
-        assert prof.to_json() == {"modulus": 3, "max_abs": 1, "argmax": 1}
+        assert asdict(prof) == {"modulus": 3, "max_abs": 1, "argmax": 1}
 
 
 class TestMultiplicativeFunctions:
@@ -659,10 +660,12 @@ class TestHtIngredients:
         )
         us = [gs_bound(u, 1000.0) for u in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert us == sorted(us, reverse=True)
-        with pytest.raises(ValueError):
-            gs_bound(-0.1, 100.0)
-        with pytest.raises(ValueError):
-            gs_bound(0.5, 1.0)
+        for u in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="u must be nonnegative"):
+                gs_bound(u, 100.0)
+        for x in (1.0, math.nan):
+            with pytest.raises(ValueError, match="x must be at least 2"):
+                gs_bound(0.5, x)
 
 
 class TestPvRatios:
