@@ -162,44 +162,85 @@ def _expansion_plan(limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     p from max(p*p, lo) on gets p, in decreasing p so that the least prime
     factor is written last. index starts as n itself, so the entries the
     sieve never writes are the primes, which are their own spf. The blocks
-    are computed lazily, so one expansion never holds them all; tuple()
-    keeps a plan for reuse across functions.
+    are computed lazily, so one expansion never holds them all, and a
+    suspended plan holds none; tuple() keeps a plan for reuse across
+    functions.
     """
     primes = sieve_primes(math.isqrt(limit)).tolist()
     lo = 2
     while lo <= limit:
         hi = min(2 * lo, lo + _PLAN_BLOCK, limit + 1)
-        cofactor = np.arange(lo, hi, dtype=np.intp)
-        index = cofactor.copy()
-        for p in reversed(primes[: bisect_right(primes, math.isqrt(hi - 1))]):
-            index[max(p * p, -(-lo // p) * p) - lo :: p] = p
-        cofactor //= index
-        yield index, cofactor
+        # yielded straight from the call, so a suspended plan holds no block
+        yield _plan_block(lo, hi, primes)
         lo = hi
 
 
-def _apply_plan(
-    plan: Iterable[tuple[np.ndarray, np.ndarray]], v: np.ndarray
-) -> np.ndarray:
-    """Expand f in place: v[p] = f(p) at the primes on entry, v[n] = f(n) after.
+def _plan_block(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(spf(n), n // spf(n)) for lo <= n < hi, sieved from the primes <= sqrt(hi - 1)."""
+    cofactor = np.arange(lo, hi, dtype=np.intp)
+    index = cofactor.copy()
+    for p in reversed(primes[: bisect_right(primes, math.isqrt(hi - 1))]):
+        index[max(p * p, -(-lo // p) * p) - lo :: p] = p
+    cofactor //= index
+    return index, cofactor
 
-    v is indexed by n and covers the plan's range; its entries at composite
-    n are ignored. Sets v[0] = 0 and v[1] = 1, then applies
+
+def _expand(
+    plan: Iterable[tuple[np.ndarray, np.ndarray]], v: np.ndarray, spill: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Expand f in place in v, and past the end of v block by block into spill.
+
+    v is indexed by n, with v[p] = f(p) at its primes on entry; its entries
+    at composite n are ignored. Sets v[0] = 0 and v[1] = 1, then applies
     f(n) = f(spf(n)) * f(n // spf(n)) block by block. In a block, a composite
     n has spf(n) <= sqrt(n) < lo and cofactor n // spf(n) <= n / 2 < lo, so
     both factors lie in earlier blocks and are already final; a prime n reads
     its own entry f(p) and multiplies it by f(1) = 1, which keeps its bits.
     Each block is one gather and one in-place product, the same two operands
     as the direct recurrence.
+
+    The n below len(v) land in v. The rest of a block, from n = first on,
+    lands in spill, which must be at least as long, and (first, view of
+    spill) is yielded; the view is overwritten by the next block. Both
+    factors of a composite n <= limit are at most limit // 2, so with
+    len(v) > limit // 2 every composite past v reads them from v. A prime n
+    past v has no entry there: the gather clips it to v[-1], and the caller
+    writes f(n) into the view before reading it.
     """
     v[0] = 0
     v[1] = 1
     lo = 2
     for index, cofactor in plan:
-        block = v[lo : lo + len(index)]
-        np.take(v, index, out=block)
-        block *= v[cofactor]
-        lo += len(index)
+        hi = lo + len(index)
+        if hi <= len(v):
+            _gather(v, index, cofactor, v[lo:hi])
+        else:
+            cut = max(len(v) - lo, 0)  # the block's first cut values fit in v
+            _gather(v, index[:cut], cofactor[:cut], v[lo : lo + cut])
+            _gather(v, index[cut:], cofactor[cut:], spill[: hi - lo - cut])
+            del index, cofactor  # not held while the caller reads the block
+            yield lo + cut, spill[: hi - lo - cut]
+        lo = hi
+
+
+def _gather(v: np.ndarray, index: np.ndarray, cofactor: np.ndarray, out: np.ndarray) -> None:
+    """out = v[index] * v[cofactor], one gather and one in-place product.
+
+    An index past the end of v is clipped to v[-1]; mode="clip" also lets
+    np.take write out directly, where the default mode buffers it.
+    """
+    np.take(v, index, out=out, mode="clip")
+    out *= v[cofactor]
+
+
+def _apply_plan(
+    plan: Iterable[tuple[np.ndarray, np.ndarray]], v: np.ndarray
+) -> np.ndarray:
+    """Expand f in place over the whole plan: v[p] = f(p) at the primes on
+    entry, v[n] = f(n) after. v covers the plan's range, so _expand spills
+    nothing."""
+    for _ in _expand(plan, v, v[:0]):
+        pass
     return v
 
 

@@ -46,6 +46,7 @@ from .sums import (
     _block_bounds,
     _floor_finite,
     _mean_reaches,
+    _streamed_sums,
     _walk,
     character_log_sum,
     conv_mean,
@@ -243,6 +244,8 @@ def theorem_a_pipeline(
         raise ValueError("epsilon must lie in (0, 1)")
     if not 0 < c <= 1:
         raise ValueError("c must lie in (0, 1]")
+    if isinstance(max_modulus, float) and math.isnan(max_modulus):
+        raise ValueError("max_modulus must not be nan")
     xi = legendre_character(p)
     if p % 4 != 3:
         raise ValueError(
@@ -307,24 +310,30 @@ def lemma_b_report(
 ) -> MeansReport:
     """Means report for one (f, x), with the decay-envelope bookkeeping.
 
-    f is expanded once, and mean, log_mean and conv_mean are all read from
-    that one array. ht_envelope = exp(-kappa u) is recorded alongside the
+    f is expanded once, holding f(n) only for n <= x/2: the upper half is
+    summed block by block into the exact sums of all three statistics in one
+    pass (sums._streamed_sums), and mean, log_mean and conv_mean read them
+    from that pass. It costs 4 bytes per n plus one block, where an array of
+    f(n) costs 8. ht_envelope = exp(-kappa u) is recorded alongside the
     empirical constant |mean| * exp(kappa u); neither is asserted, since the
     envelope only holds up to an absolute constant. Below min_x the report is
-    flagged as outside the regime where a threshold x0 is intended to apply.
+    flagged as outside the regime where a threshold x0 is intended to apply;
+    min_x may be infinite, but not nan.
     """
+    if isinstance(min_x, float) and math.isnan(min_x):
+        raise ValueError("min_x must not be nan")
     if _floor_finite(x) < 2:
         raise ValueError("x must be at least 2")
-    vals = f.values_upto(x)
-    m = mean(vals, x)
+    streamed = _streamed_sums(f, x)
+    m = mean(streamed, x)
     u = ht_u(f, x)
     flags = (FLAG_BELOW_MIN_X,) if x < min_x else ()
     return MeansReport(
         x=float(x),
         mean=m,
-        log_mean=log_mean(vals, x),
+        log_mean=log_mean(streamed, x),
         u=u,
-        conv_mean=conv_mean(vals, x),
+        conv_mean=conv_mean(streamed, x),
         gs_bound=gs_bound(u, x),
         ht_envelope=math.exp(-CONSTANTS.kappa * u),
         ht_constant=abs(m) * math.exp(CONSTANTS.kappa * u),

@@ -2,8 +2,8 @@
 
 Character partial sums are exact integers. Only the f(n)/n style sums
 introduce floating point, and those are exactly rounded: sums over numpy
-arrays go block by block into the exact accumulator _exact_total, which
-equals math.fsum, and the short generator sums over character values use
+arrays go block by block into _ExactAccumulator, whose sum equals
+math.fsum, and the short generator sums over character values use
 math.fsum itself. Quoted 1e-9 tolerances are therefore dominated by the
 mathematics rather than the summation order.
 
@@ -13,19 +13,22 @@ while any function on that limit holds it. Each values_upto call sieves
 smallest prime factors block by block as it expands, with no whole-range
 factor table. The statistics mean, log_mean and conv_mean take that
 expanded array, values = f.values_upto(x), so a caller reads several
-statistics of one (f, x) from one expansion.
+statistics of one (f, x) from one expansion at 8 bytes per n. They also
+take the result of _streamed_sums(f, x), which holds f(n) only for
+n <= x/2 and sums the upper half block by block into all three statistics
+in one pass, at 4 bytes per n plus one block; lemma_b_report reads them so.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import _apply_plan, _expansion_plan, is_prime, sieve_primes
+from .arith import _PLAN_BLOCK, _apply_plan, _expand, _expansion_plan, is_prime, sieve_primes
 from . import characters
 from .characters import (
     _U32_ROOT,
@@ -436,8 +439,8 @@ def max_partial_sum(chi: QuadraticCharacter) -> SumProfile:
     return SumProfile(modulus=q, max_abs=peak, argmax=first)
 
 
-def _exact_total(blocks: Iterable[np.ndarray]) -> float:
-    """Correctly rounded sum of every value in blocks; equals math.fsum.
+class _ExactAccumulator:
+    """Running exact sum of float64 blocks; value() is the correctly rounded sum.
 
     Each block holds at most _SUM_BLOCK float64 values. Each element is split
     by frexp into a 53-bit integer mantissa and an exponent. Per block, the
@@ -445,24 +448,38 @@ def _exact_total(blocks: Iterable[np.ndarray]) -> float:
     bits, low 26 bits), so every float64 partial sum stays below 2^53 and is
     exact. The per-exponent sums of all blocks accumulate in one Python
     integer in units of 2^-1127, and a single int/int true division, which is
-    correctly rounded, gives the result. The sum is exact, so where the
-    blocks begin and end cannot change a bit.
+    correctly rounded, gives the value. The sum is exact, so where the
+    blocks begin and end, and in which order they come, cannot change a bit.
     """
-    total = 0
-    for block in blocks:
+
+    def __init__(self) -> None:
+        self.total = 0
+
+    def add(self, block: np.ndarray) -> None:
         if not np.isfinite(block).all():
             raise ValueError("cannot sum non-finite values")
         mantissa, exponent = np.frexp(block)
+        # intp, which bincount would otherwise copy the exponents to twice
+        exponent = np.add(exponent, _EXP_OFFSET, dtype=np.intp)
         mantissa *= 2.0**27
         high = np.floor(mantissa)
         mantissa -= high  # exact: the 26 low bits, as a fraction
         mantissa *= 2.0**26
-        exponent += _EXP_OFFSET
         high_sums = np.bincount(exponent, weights=high)
         low_sums = np.bincount(exponent, weights=mantissa)
         for e in np.flatnonzero((high_sums != 0) | (low_sums != 0)).tolist():
-            total += ((int(high_sums[e]) << 26) + int(low_sums[e])) << e
-    return total / _SUM_SCALE
+            self.total += ((int(high_sums[e]) << 26) + int(low_sums[e])) << e
+
+    def value(self) -> float:
+        return self.total / _SUM_SCALE
+
+
+def _exact_total(blocks: Iterable[np.ndarray]) -> float:
+    """Correctly rounded sum of every value in blocks; equals math.fsum."""
+    acc = _ExactAccumulator()
+    for block in blocks:
+        acc.add(block)
+    return acc.value()
 
 
 def _block_bounds(length: int) -> Iterator[tuple[int, int]]:
@@ -473,11 +490,100 @@ def _block_bounds(length: int) -> Iterator[tuple[int, int]]:
 
 def _exact_sum(a: np.ndarray) -> float:
     """Correctly rounded sum of a float64 array; equals math.fsum(a)."""
-    a = np.asarray(a, dtype=np.float64)
-    return _exact_total(a[lo:hi] for lo, hi in _block_bounds(len(a)))
+    return _total(a, _mean_terms)
 
 
-def _length(values: np.ndarray, x: float) -> int:
+# The terms each statistic sums, from a block of f(n) for n = first,
+# first + 1, ... and m = floor(x): f(n) for the mean, f(n)/n for the log-mean
+# and f(n) floor(m/n) for the convolution mean. Each term depends on its own
+# n alone, so any split of n <= m into blocks gives the same terms.
+
+
+def _mean_terms(block: np.ndarray, first: int, m: int) -> np.ndarray:
+    return np.asarray(block, dtype=np.float64)
+
+
+def _log_terms(block: np.ndarray, first: int, m: int) -> np.ndarray:
+    n = np.arange(first, first + len(block), dtype=np.float64)
+    return np.divide(block, n, out=n)
+
+
+def _conv_terms(block: np.ndarray, first: int, m: int) -> np.ndarray:
+    # floor(x/d) equals floor(m/d) for integer d, so the counts are exact
+    # integers; d is freed on return, before the product is summed
+    d = np.arange(first, first + len(block), dtype=np.int64)
+    return block * np.floor_divide(m, d, out=d)
+
+
+_Terms = Callable[[np.ndarray, int, int], np.ndarray]
+_TERMS: tuple[_Terms, ...] = (_mean_terms, _log_terms, _conv_terms)
+
+
+@dataclass(frozen=True, eq=False)
+class _StreamedSums:
+    """The exact sums of every statistic's terms over n <= m, from one pass.
+
+    totals maps each of _TERMS to its correctly rounded sum. len() is m, so a
+    statistic checks it against x as it checks an array of f(n).
+    """
+
+    m: int
+    totals: dict[_Terms, float]
+
+    def __len__(self) -> int:
+        return self.m
+
+
+def _streamed_sums(f: CompletelyMultiplicativeFunction, x: float) -> _StreamedSums:
+    """Every statistic's exact sum for f at x, holding f(n) for n <= m // 2 only.
+
+    m = floor(x) >= 2. The lower half, n <= m // 2, is expanded in place in
+    one buffer of m // 2 + 1 values, as values_upto expands all of it. The
+    one expansion plan of m then carries on past that buffer into one block
+    buffer of at most min(_PLAN_BLOCK, m - m // 2) values: both factors of a
+    composite n <= m are at most m // 2, so they are read from the held
+    half, and the primes of the block take f(p) straight from f.values,
+    which equals the f(p) * f(1) of the full expansion. Each block is summed
+    into all three totals at once and then overwritten by the next; the
+    lower half is summed last. The sums are exact, so the totals equal
+    those of the full array bit for bit, at 4 bytes per n plus one block.
+    """
+    m = _floor_finite(x)
+    if m < 2:
+        raise ValueError("x must be at least 2")
+    if m > f.limit:
+        raise ValueError(f"f is only defined up to {f.limit}, need {m}")
+    half = m // 2
+    k = np.searchsorted(f.primes, half, side="right")  # the primes held in v
+    v = np.empty(half + 1)
+    v[f.primes[:k]] = f.values[:k]
+    sums = {terms: _ExactAccumulator() for terms in _TERMS}
+
+    def add(block: np.ndarray, first: int) -> None:
+        for terms, acc in sums.items():
+            acc.add(terms(block, first, m))
+
+    spill = np.empty(min(_PLAN_BLOCK, m - half))
+    for first, block in _expand(_expansion_plan(m), v, spill):
+        j = np.searchsorted(f.primes, first + len(block))
+        block[f.primes[k:j] - first] = f.values[k:j]
+        k = j
+        add(block, first)
+    for lo, hi in _block_bounds(half):
+        add(v[lo + 1 : hi + 1], lo + 1)
+    return _StreamedSums(m, {terms: acc.value() for terms, acc in sums.items()})
+
+
+def _total(values: np.ndarray | _StreamedSums, terms: _Terms) -> float:
+    """Correctly rounded sum of terms over values, read from the streamed
+    sums or summed one block of n at a time from the array of f(n)."""
+    if isinstance(values, _StreamedSums):
+        return values.totals[terms]
+    m = len(values)
+    return _exact_total(terms(values[lo:hi], lo + 1, m) for lo, hi in _block_bounds(m))
+
+
+def _length(values: np.ndarray | _StreamedSums, x: float) -> int:
     """floor(x), checked against len(values) for values = f.values_upto(x)."""
     m = _floor_finite(x)
     if m < 1:
@@ -487,10 +593,10 @@ def _length(values: np.ndarray, x: float) -> int:
     return m
 
 
-def mean(values: np.ndarray, x: float) -> float:
+def mean(values: np.ndarray | _StreamedSums, x: float) -> float:
     """(1/x) * sum of f(n) over n <= x, with values = f.values_upto(x); needs x >= 1."""
     _length(values, x)
-    return _exact_sum(values) / x
+    return _total(values, _mean_terms) / x
 
 
 def _mean_reaches(
@@ -526,7 +632,7 @@ def _mean_reaches(
     return abs(_exact_sum(vals) / x) >= c
 
 
-def log_mean(values: np.ndarray, x: float) -> float:
+def log_mean(values: np.ndarray | _StreamedSums, x: float) -> float:
     """(1/log x) * sum of f(n)/n over n <= x, with values = f.values_upto(x).
 
     Needs x >= 2. The terms are divided one block of n at a time.
@@ -534,13 +640,7 @@ def log_mean(values: np.ndarray, x: float) -> float:
     _length(values, x)
     if x < 2:
         raise ValueError("x must be at least 2 for the log normalization")
-
-    def terms() -> Iterator[np.ndarray]:
-        for lo, hi in _block_bounds(len(values)):
-            n = np.arange(lo + 1, hi + 1, dtype=np.float64)
-            yield np.divide(values[lo:hi], n, out=n)
-
-    return _exact_total(terms()) / math.log(x)
+    return _total(values, _log_terms) / math.log(x)
 
 
 def character_log_sum(chi: QuadraticCharacter, t: float) -> float:
@@ -559,21 +659,15 @@ def restricted_log_sum(xi: QuadraticCharacter, t: float, ell: int) -> float:
     return math.fsum(evaluate(xi, n) / n for n in range(1, m + 1) if n % ell)
 
 
-def conv_mean(values: np.ndarray, x: float) -> float:
+def conv_mean(values: np.ndarray | _StreamedSums, x: float) -> float:
     """(1/x) * sum over n <= x of the divisor convolution (1 * f)(n).
 
     values = f.values_upto(x). Rearranged exactly as sum_d f(d) floor(x/d);
     floor(x/d) equals floor(floor(x)/d) for integer d, so the counts stay in
     exact integers, one block of d at a time. Needs x >= 1.
     """
-    m = _length(values, x)
-
-    def terms() -> Iterator[np.ndarray]:
-        for lo, hi in _block_bounds(m):
-            d = np.arange(lo + 1, hi + 1, dtype=np.int64)
-            yield values[lo:hi] * np.floor_divide(m, d, out=d)
-
-    return _exact_total(terms()) / x
+    _length(values, x)
+    return _total(values, _conv_terms) / x
 
 
 def ht_u(f: CompletelyMultiplicativeFunction, x: float) -> float:

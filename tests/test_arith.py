@@ -9,6 +9,7 @@ from charscan import arith
 from charscan.arith import (
     SearchExhaustedError,
     _apply_plan,
+    _expand,
     _expansion_plan,
     build_spf,
     is_prime,
@@ -308,6 +309,29 @@ class TestExpandMultiplicative:
             assert v.tobytes() == want.tobytes()
             rank_apply(by_rank, short, out)
             assert out.tobytes() == want[1:].tobytes()
+
+    @pytest.mark.parametrize("limit", EXPANSION_LIMITS)
+    def test_spill_past_the_held_half_matches_the_full_expansion(self, limit):
+        # v holds n <= limit // 2. The rest of the plan lands in spill one
+        # block at a time, and with its primes written it is the tail of the
+        # whole expansion, bit for bit.
+        rng = np.random.default_rng(limit)
+        prime_vals = rng.uniform(-1.0, 1.0, size=limit + 1)
+        prime_vals[1] = 1.0
+        want = _apply_plan(_expansion_plan(limit), prime_vals.copy())
+        half = limit // 2
+        primes = sieve_primes(limit)
+        v = prime_vals[: half + 1].copy()
+        spill = np.full(min(arith._PLAN_BLOCK, limit - half), np.nan)
+        tail = []
+        for first, block in _expand(_expansion_plan(limit), v, spill):
+            assert first == half + 1 + sum(map(len, tail))
+            assert np.shares_memory(block, spill)
+            inside = primes[(primes >= first) & (primes < first + len(block))]
+            block[inside - first] = prime_vals[inside]
+            tail.append(block.copy())
+        assert v.tobytes() == want[: half + 1].tobytes()
+        assert np.concatenate(tail).tobytes() == want[half + 1 :].tobytes()
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 64, 1000])
     def test_block_size_does_not_change_bits(self, block, monkeypatch):

@@ -28,7 +28,6 @@ from charscan.experiments import (
     verify_lemma_bg,
 )
 from charscan.sums import (
-    _SUM_BLOCK,
     CompletelyMultiplicativeFunction,
     _exact_total as sums_exact_total,
     character_log_sum,
@@ -225,6 +224,15 @@ class TestTheoremAPipeline:
         with pytest.raises(ValueError, match=f"q = 19\\*{report.ell} = {report.q} exceeds capacity {bound}"):
             theorem_a_pipeline(19, 0.5, 0.1, max_modulus=bound)
 
+    def test_nan_max_modulus_rejected_before_any_table(self, monkeypatch):
+        def no_table(prime):
+            raise AssertionError("a table was built under a nan cap")
+
+        monkeypatch.setattr(characters, "_legendre_value_table", no_table)
+        monkeypatch.setattr(experiments, "verify_lemma_bg", no_table)
+        with pytest.raises(ValueError, match="max_modulus must not be nan"):
+            theorem_a_pipeline(10007, 0.3, 0.1, max_modulus=math.nan)
+
     @pytest.mark.parametrize("p", [3, 1019, 1615843])
     def test_each_legendre_table_is_built_once(self, p, monkeypatch):
         # The lhs walk mod p*ell and the audit's walk mod p share the table
@@ -292,10 +300,11 @@ class TestLemmaBReport:
             lemma_b_report(CMF.ones(150), 150, 200)
 
     def test_peak_memory_is_the_values_plus_a_few_blocks(self):
-        # Past f's values, the report holds one float64 value per n and
-        # block-sized temporaries, the factor sieve's included; no other
-        # length-x array.
-        x = 2**20
+        # Past f's values, the report holds f(n) for n <= x/2 only, 4 bytes
+        # per n, and block-sized temporaries, the factor sieve's and the
+        # upper half's block included; no other length-x array. A full
+        # float64 array of f(n) alone would take 8x bytes.
+        x = 10**6
         f = CMF.random(x, np.random.default_rng(3))
         tracemalloc.start()
         try:
@@ -303,12 +312,21 @@ class TestLemmaBReport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * (x + 1) + 8 * (8 * _SUM_BLOCK)
+        assert peak < 4 * x + 3 * 10**6
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_x_rejected(self, bad):
         with pytest.raises(ValueError, match="x must be a finite number"):
             lemma_b_report(CMF.ones(200), bad)
+
+    def test_nan_min_x_rejected(self):
+        with pytest.raises(ValueError, match="min_x must not be nan"):
+            lemma_b_report(CMF.ones(200), 200, min_x=math.nan)
+        # an infinite threshold is well defined: every x lies below +inf
+        assert lemma_b_report(CMF.ones(200), 200, min_x=math.inf).flags == (
+            FLAG_BELOW_MIN_X,
+        )
+        assert lemma_b_report(CMF.ones(200), 200, min_x=-math.inf).flags == ()
 
     def test_serialized_form(self):
         js = asdict(lemma_b_report(CMF.ones(200), 200))
@@ -318,6 +336,42 @@ class TestLemmaBReport:
             "x", "mean", "log_mean", "u", "conv_mean", "gs_bound",
             "ht_envelope", "ht_constant", "flags",
         ]
+
+
+# x next to the plan's block edges 2^16 and 2^17, where floor(x)/2 falls
+# inside a block or on its edge, and the smallest x, where the held half is
+# f(1) alone.
+STREAMED_XS = [2, 3, 4, 5, 99.5, 2**16 - 1, 2**16, 2**16 + 1, 2**17, 2**17 + 3, 10**5 + 1]
+STREAMED_LIMIT = 2**17 + 3
+
+
+@pytest.fixture(scope="module")
+def streamed_functions():
+    limit = STREAMED_LIMIT
+    return {
+        "ones": CMF.ones(limit),
+        "liouville": CMF.liouville(limit),
+        "random_1": CMF.random(limit, np.random.default_rng(1)),
+        "random_2": CMF.random(limit, np.random.default_rng(2)),
+        "flip_2_3": CMF.ones(limit).flip([2, 3]),
+    }
+
+
+@pytest.mark.parametrize("x", STREAMED_XS)
+@pytest.mark.parametrize("name", ["ones", "liouville", "random_1", "random_2", "flip_2_3"])
+def test_streamed_report_equals_the_full_array(name, x, streamed_functions):
+    # The report holds f(n) for n <= x/2 and streams the rest; its three
+    # statistics equal those of the full array f.values_upto(x) bit for bit.
+    # f is defined past x, and at x = 2^17 + 3 exactly up to x.
+    f = streamed_functions[name]
+    report = lemma_b_report(f, x)
+    vals = f.values_upto(x)
+    for got, want in (
+        (report.mean, mean(vals, x)),
+        (report.log_mean, log_mean(vals, x)),
+        (report.conv_mean, conv_mean(vals, x)),
+    ):
+        assert got.hex() == want.hex(), (name, x)
 
 
 def reference_candidates(x, trials, seed):

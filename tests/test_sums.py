@@ -376,6 +376,22 @@ class TestMeans:
             assert gap <= 1.0 + 1e-9
 
     @pytest.mark.parametrize("statistic", [mean, log_mean, conv_mean])
+    def test_streamed_sums_are_checked_like_values(self, statistic):
+        # The streamed pass carries floor(x) as its length: each statistic
+        # checks it and normalizes it as it does an array of f(n).
+        f = CMF.random(100, np.random.default_rng(4))
+        streamed = sums._streamed_sums(f, 100.5)
+        vals = f.values_upto(100)
+        assert statistic(streamed, 100.999) == statistic(vals, 100.999)
+        for x in (99, 101):
+            with pytest.raises(ValueError, match="values must hold"):
+                statistic(streamed, x)
+        with pytest.raises(ValueError, match="at least 2"):
+            sums._streamed_sums(f, 1.5)
+        with pytest.raises(ValueError, match="only defined up to 100"):
+            sums._streamed_sums(f, 101)
+
+    @pytest.mark.parametrize("statistic", [mean, log_mean, conv_mean])
     def test_values_must_have_floor_x_entries(self, statistic):
         vals = CMF.random(100, np.random.default_rng(4)).values_upto(100)
         statistic(vals, 100.999)  # floor(x) = 100 values: accepted

@@ -1,12 +1,13 @@
 """Regenerate tests/data/cli_golden.json.
 
 The file pins the exact bytes the report commands write: burgess-scan,
-means, the lemma-b report (one row flagged below_min_x among them), lemma-b
---trials and nonresidue in JSON and CSV, and two thm-a report files (one
-with a flag). Each
-case runs `charscan.cli.main` with --out naming a scratch file and with
-time.time pinned to TIME, so the thm-a timestamp is fixed too; the test
-replays every case and compares the file it writes with the pinned text.
+means, the lemma-b report (one row flagged below_min_x among them, and
+three at x where the held and streamed halves of the expansion meet inside
+or at the edge of a plan block), lemma-b --trials and nonresidue in JSON
+and CSV, and two thm-a report files (one with a flag). Each case runs
+`charscan.cli.main` with --out naming a scratch file and with time.time
+pinned to TIME, so the thm-a timestamp is fixed too; the test replays every
+case and compares the file it writes with the pinned text.
 Run from the repository root:
 
     PYTHONPATH=src python3 tools/make_cli_golden.py
@@ -28,6 +29,9 @@ COMMANDS = [
     ["means", "5000", "--f", "random", "--flip", "2", "3"],
     ["lemma-b", "5000"],
     ["lemma-b", "50"],
+    ["lemma-b", "131075", "--f", "random", "--seed", "5"],
+    ["lemma-b", "131072", "--f", "liouville", "--flip", "2", "3"],
+    ["lemma-b", "3", "--f", "random"],
     ["lemma-b", "3000", "--trials", "20", "--c", "0.1"],
     ["nonresidue", "300"],
 ]
