@@ -1,11 +1,12 @@
 """Exact number-theoretic kernels: sieves, factor tables, quadratic symbols.
 
 Everything in this module is integer arithmetic. Bulk evaluation of
-completely multiplicative sequences extends values on primes to all n by
-peeling smallest prime factors, which the expansion plan sieves block by
-block, so no whole-range factor table is held; build_spf tabulates the same
-factors for callers that want the table itself. The reciprocity-based
-symbol is the point-query primitive behind every character evaluation.
+completely multiplicative sequences extends values on primes to the odd n
+by peeling smallest prime factors, which the expansion plan sieves block by
+block, so no whole-range factor table is held, and to the even n by
+doubling; build_spf tabulates the same factors for callers that want the
+table itself. The reciprocity-based symbol is the point-query primitive
+behind every character evaluation.
 """
 
 from __future__ import annotations
@@ -151,96 +152,121 @@ def kronecker(a: int, n: int) -> int:
 
 
 def _expansion_plan(limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Index arithmetic of the smallest-factor expansion over 1 <= n <= limit.
+    """Index arithmetic of the smallest-factor expansion over the odd n <= limit.
 
-    Yields one (index, cofactor) pair of intp arrays per block lo <= n < hi
-    of n >= 2, in order, where hi <= 2 lo and hi - lo <= _PLAN_BLOCK. index
-    is spf(n) and cofactor is n // spf(n); both locate values in a buffer
-    indexed by n. They are intp because numpy gathers with any other index
-    type several times slower. Each block sieves its own spf from the primes
-    p <= sqrt(hi - 1), so no length-limit table is held: every multiple of
-    p from max(p*p, lo) on gets p, in decreasing p so that the least prime
-    factor is written last. index starts as n itself, so the entries the
-    sieve never writes are the primes, which are their own spf. The blocks
-    are computed lazily, so one expansion never holds them all, and a
-    suspended plan holds none; tuple() keeps a plan for reuse across
-    functions.
+    An odd n = 2 i + 1 sits at position i, so o = 1 is position 0. Yields
+    one (index, cofactor) pair of intp arrays per block of odd o with
+    lo <= o < hi, in order from o = 3, where hi <= 3 lo and a block holds at
+    most _PLAN_BLOCK odd values. index is the position of spf(o) and
+    cofactor that of o // spf(o); one pair serves a buffer holding only the
+    odd values and the strided view v[1::2] of a buffer indexed by n. They
+    are intp because numpy gathers with any other index type several times
+    slower. Each block sieves its own spf from the odd primes
+    p <= sqrt(hi - 1), so no length-limit table is held: every odd multiple
+    of p from max(p*p, lo) on gets p, in decreasing p so that the least
+    prime factor is written last. index starts as o itself, so the entries
+    the sieve never writes are the primes, which are their own spf. The
+    blocks are computed lazily, so one expansion never holds them all, and
+    a suspended plan holds none; tuple() keeps a plan for reuse across
+    functions. Even n are not planned: spf(n) = 2, and _apply_plan fills
+    them by doubling.
     """
-    primes = sieve_primes(math.isqrt(limit)).tolist()
-    lo = 2
+    primes = sieve_primes(math.isqrt(limit)).tolist()[1:]
+    lo = 3
     while lo <= limit:
-        hi = min(2 * lo, lo + _PLAN_BLOCK, limit + 1)
+        hi = min(3 * lo, lo + 2 * _PLAN_BLOCK, limit + 1)
         # yielded straight from the call, so a suspended plan holds no block
         yield _plan_block(lo, hi, primes)
-        lo = hi
+        lo += 2 * -(-(hi - lo) // 2)  # the next odd o
 
 
 def _plan_block(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(spf(n), n // spf(n)) for lo <= n < hi, sieved from the primes <= sqrt(hi - 1)."""
-    cofactor = np.arange(lo, hi, dtype=np.intp)
+    """Positions of spf(o) and o // spf(o) for the odd o in [lo, hi), lo odd,
+    sieved from the odd primes <= sqrt(hi - 1)."""
+    cofactor = np.arange(lo, hi, 2, dtype=np.intp)
     index = cofactor.copy()
     for p in reversed(primes[: bisect_right(primes, math.isqrt(hi - 1))]):
-        index[max(p * p, -(-lo // p) * p) - lo :: p] = p
+        first = max(p * p, -(-lo // p) * p)
+        first += p * (first % 2 == 0)  # the first odd multiple
+        index[(first - lo) // 2 :: p] = p  # odd multiples lie 2 p apart
     cofactor //= index
+    index >>= 1  # position (o - 1) // 2 of an odd o
+    cofactor >>= 1
     return index, cofactor
 
 
 def _expand(
-    plan: Iterable[tuple[np.ndarray, np.ndarray]], v: np.ndarray, spill: np.ndarray
+    plan: Iterable[tuple[np.ndarray, np.ndarray]], w: np.ndarray, spill: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Expand f in place in v, and past the end of v block by block into spill.
+    """Expand f over the odd n in place in w, and past the end of w into spill.
 
-    v is indexed by n, with v[p] = f(p) at its primes on entry; its entries
-    at composite n are ignored. Sets v[0] = 0 and v[1] = 1, then applies
-    f(n) = f(spf(n)) * f(n // spf(n)) block by block. In a block, a composite
-    n has spf(n) <= sqrt(n) < lo and cofactor n // spf(n) <= n / 2 < lo, so
-    both factors lie in earlier blocks and are already final; a prime n reads
-    its own entry f(p) and multiplies it by f(1) = 1, which keeps its bits.
-    Each block is one gather and one in-place product, the same two operands
-    as the direct recurrence.
+    w holds f at the odd n by position, w[i] = f(2 i + 1), with f(p) at its
+    odd primes on entry; its entries at odd composites are ignored. Sets
+    w[0] = f(1) = 1, then applies f(o) = f(spf(o)) * f(o // spf(o)) block by
+    block. In a block lo <= o < hi <= 3 lo, an odd composite o has
+    spf(o) <= sqrt(o) < lo and cofactor o // spf(o) <= o / 3 < lo, so both
+    factors lie in earlier blocks and are already final; a prime o reads its
+    own entry f(p) and multiplies it by f(1) = 1, which keeps its bits. Each
+    block is one gather and one in-place product, the same two operands as
+    the direct recurrence.
 
-    The n below len(v) land in v. The rest of a block, from n = first on,
-    lands in spill, which must be at least as long, and (first, view of
-    spill) is yielded; the view is overwritten by the next block. Both
-    factors of a composite n <= limit are at most limit // 2, so with
-    len(v) > limit // 2 every composite past v reads them from v. A prime n
-    past v has no entry there: the gather clips it to v[-1], and the caller
-    writes f(n) into the view before reading it.
+    The positions below len(w) land in w. The rest of a block, from
+    position first on, lands in spill, which must be at least as long, and
+    (first, view of spill) is yielded; the view is overwritten by the next
+    block. Both factors of an odd composite o <= limit are at most
+    limit // 3, so with w holding every odd o <= limit // 3 every composite
+    past w reads them from w. A prime past w has no entry there: it reads
+    w[-1] instead, and the caller writes f(p) into the view before reading
+    it.
     """
-    v[0] = 0
-    v[1] = 1
-    lo = 2
+    w[0] = 1
+    lo = 1
     for index, cofactor in plan:
         hi = lo + len(index)
-        if hi <= len(v):
-            _gather(v, index, cofactor, v[lo:hi])
+        if hi <= len(w):
+            _gather(w, index, cofactor, w[lo:hi])
         else:
-            cut = max(len(v) - lo, 0)  # the block's first cut values fit in v
-            _gather(v, index[:cut], cofactor[:cut], v[lo : lo + cut])
-            _gather(v, index[cut:], cofactor[cut:], spill[: hi - lo - cut])
-            del index, cofactor  # not held while the caller reads the block
+            cut = max(len(w) - lo, 0)  # the block's first cut values fit in w
+            _gather(w, index[:cut], cofactor[:cut], w[lo : lo + cut])
+            # a prime past w reads w[-1] in place of its own entry
+            clipped = np.minimum(index[cut:], len(w) - 1)
+            _gather(w, clipped, cofactor[cut:], spill[: hi - lo - cut])
+            del index, cofactor, clipped  # not held while the caller reads the block
             yield lo + cut, spill[: hi - lo - cut]
         lo = hi
 
 
-def _gather(v: np.ndarray, index: np.ndarray, cofactor: np.ndarray, out: np.ndarray) -> None:
-    """out = v[index] * v[cofactor], one gather and one in-place product.
+def _gather(w: np.ndarray, index: np.ndarray, cofactor: np.ndarray, out: np.ndarray) -> None:
+    """out = w[index] * w[cofactor], two gathers and one in-place product.
 
-    An index past the end of v is clipped to v[-1]; mode="clip" also lets
-    np.take write out directly, where the default mode buffers it.
+    Fancy indexing reads a strided w as it stands, where np.take would copy
+    all of it first.
     """
-    np.take(v, index, out=out, mode="clip")
-    out *= v[cofactor]
+    out[...] = w[index]
+    out *= w[cofactor]
 
 
 def _apply_plan(
     plan: Iterable[tuple[np.ndarray, np.ndarray]], v: np.ndarray
 ) -> np.ndarray:
-    """Expand f in place over the whole plan: v[p] = f(p) at the primes on
-    entry, v[n] = f(n) after. v covers the plan's range, so _expand spills
-    nothing."""
-    for _ in _expand(plan, v, v[:0]):
+    """Expand f in place in v indexed by n, len(v) >= 3, over a plan of len(v) - 1.
+
+    v[p] = f(p) at the primes on entry, v[n] = f(n) after, v[0] = 0. The
+    odd n are expanded in the strided view v[1::2], which holds every odd n
+    the plan covers, so _expand spills nothing. An even n has spf(n) = 2, so
+    f(n) = f(2) * f(n / 2): the even n in [k, 2 k) are filled in one strided
+    pass from the final values in [k / 2, k), for k = 2, 4, 8, ..., about
+    log2 len(v) passes, each the product of the direct recurrence.
+    """
+    for _ in _expand(plan, v[1::2], v[:0]):
         pass
+    v[0] = 0
+    two = v[2]
+    lo = 1
+    while 2 * lo < len(v):
+        hi = min(2 * lo, (len(v) + 1) // 2)
+        np.multiply(v[lo:hi], two, out=v[2 * lo : 2 * hi : 2])
+        lo = hi
     return v
 
 

@@ -15,7 +15,8 @@ the results come back in order through pipes, so the output is that of the
 one-process route. pv-scan runs its kernel on chunks of 256 conductors on
 --workers processes (default: every CPU the process may use), and appends
 each chunk's rows to the cache as they arrive, so an interrupted scan loses
-at most one chunk. Counterexample rows are formatted in chunks of 2^12
+at most one chunk; its rows are rendered and written out 256 at a time too.
+Counterexample rows are formatted in chunks of 2^12
 rows, small enough that the text in flight stays well below the hits' own
 columns, on every CPU the process may use. For pv-scan, --out names the
 cache file, so its rows always go to stdout; thm-a instead writes its
@@ -64,6 +65,9 @@ from .sums import (
     CompletelyMultiplicativeFunction,
     SumProfile,
     _legendre_peaks,
+    _log_terms,
+    _mean_terms,
+    _streamed_sums,
     log_mean,
     mean,
     pv_ratios,
@@ -98,8 +102,8 @@ _JSON_HIT = (
 )
 _CSV_HEADER = "flipped_primes,N,mean_at_N,log_mean_at_N,ratio\n"
 _CSV_HIT = "%s,%d,%r,%r,%r\n"
-# pv-scan runs its kernel and appends its rows this many conductors at a
-# time, so an interrupt loses at most this many rows.
+# pv-scan runs its kernel, appends its rows and writes them out this many
+# conductors at a time, so an interrupt loses at most this many rows.
 _SCAN_CHUNK = 256
 
 # A row whose values are all of these types is laid out by the C encoder:
@@ -239,17 +243,30 @@ def _csv_cell(value):
     return value
 
 
-def _render(rows: list[dict], columns: list[str], fmt: str) -> str:
+def _frame(columns: list[str], fmt: str, empty: bool) -> tuple[str, str, str]:
+    """How rows are laid out as fmt: (opening, separator, closing).
+
+    The text of rows is the opening, their row texts joined by the separator,
+    then the closing: csv.DictWriter's header and lines, or
+    json.dumps(rows, indent=2) and a newline.
+    """
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _csv_cell(row.get(k)) for k in columns})
-        return buf.getvalue()
-    if not rows:
-        return "[]\n"
-    return "[\n" + ",\n".join(map(_json_row, rows)) + "\n]\n"
+        return _csv_lines([dict(zip(columns, columns))], columns), "", ""
+    return ("[]\n", "", "") if empty else ("[\n", ",\n", "\n]\n")
+
+
+def _csv_lines(rows: list[dict], columns: list[str]) -> str:
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+    for row in rows:
+        writer.writerow({k: _csv_cell(row.get(k)) for k in columns})
+    return buf.getvalue()
+
+
+def _render(rows: list[dict], columns: list[str], fmt: str) -> str:
+    opening, sep, closing = _frame(columns, fmt, not rows)
+    body = _csv_lines(rows, columns) if fmt == "csv" else sep.join(map(_json_row, rows))
+    return opening + body + closing
 
 
 def _json_row(row) -> str:
@@ -263,13 +280,30 @@ def _json_row(row) -> str:
     return "  " + json.dumps(row, indent=2).replace("\n", "\n  ")
 
 
-def _write(chunks: Iterable[str], args: argparse.Namespace) -> None:
-    """Write text chunks to --out, or stdout when no path was given."""
-    if args.out is None:
+def _render_pieces(rows: list[dict], columns: list[str], fmt: str) -> Iterator[str]:
+    """_render(rows, columns, fmt) in pieces of _SCAN_CHUNK rows, lazily.
+
+    Each chunk still goes through _render, the one place rows are rendered;
+    the frame _frame gives is taken off it, and the chunks are joined by the
+    separator inside one frame. The pieces join to the whole text, which is
+    never held at once.
+    """
+    opening, sep, closing = _frame(columns, fmt, not rows)
+    yield opening
+    for start in range(0, len(rows), _SCAN_CHUNK):
+        text = _render(rows[start : start + _SCAN_CHUNK], columns, fmt)
+        body = text.removeprefix(opening).removesuffix(closing)
+        yield (sep + body) if start else body
+    yield closing
+
+
+def _write(chunks: Iterable[str], out: str | None) -> None:
+    """Write text chunks to the path out, or stdout when it is None."""
+    if out is None:
         for chunk in chunks:
             sys.stdout.write(chunk)
         return
-    with Path(args.out).open("w", encoding="utf-8") as fh:
+    with Path(out).open("w", encoding="utf-8") as fh:
         for chunk in chunks:
             fh.write(chunk)
 
@@ -279,7 +313,7 @@ def _emit(rows: list[dict], args: argparse.Namespace) -> None:
 
     The columns are the first row's keys, in order; every caller has a row.
     """
-    _write([_render(rows, list(rows[0]), args.format)], args)
+    _write([_render(rows, list(rows[0]), args.format)], args.out)
 
 
 def _hit_format(
@@ -494,7 +528,7 @@ def _cmd_pv_scan(args: argparse.Namespace) -> int:
     in_range = [
         by_key[(p, "legendre")] for p in targets if (p, "legendre") in by_key
     ]
-    sys.stdout.write(_render(in_range, SCAN_COLUMNS, args.format))
+    _write(_render_pieces(in_range, SCAN_COLUMNS, args.format), None)
     skipped = len(targets) - len(todo)
     if in_range:
         max_log = max(r["ratio_log"] for r in in_range)
@@ -530,13 +564,13 @@ def _cmd_means(args: argparse.Namespace) -> int:
     m = math.floor(args.x)
     _capacity(m, args)
     label, f = _make_function(args, m)
-    vals = f.values_upto(args.x)
+    streamed = _streamed_sums(f, args.x, (_mean_terms, _log_terms))
     rows = [
         {
             "f": label,
             "x": args.x,
-            "mean": mean(vals, args.x),
-            "log_mean": log_mean(vals, args.x),
+            "mean": mean(streamed, args.x),
+            "log_mean": log_mean(streamed, args.x),
         }
     ]
     _emit(rows, args)
@@ -613,7 +647,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     hits = counterexample_search(args.x_max, args.flip_budget, args.threshold)
     opening, chunk, count, closing = _hit_format(hits, args.format)
     with _forked_map(chunk, count, _allowed_cpus()) as texts:
-        _write(itertools.chain([opening], texts, [closing]), args)
+        _write(itertools.chain([opening], texts, [closing]), args.out)
     print(f"counterexample: {len(hits)} hits", file=sys.stderr)
     return 0
 

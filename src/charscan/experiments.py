@@ -310,10 +310,11 @@ def lemma_b_report(
 ) -> MeansReport:
     """Means report for one (f, x), with the decay-envelope bookkeeping.
 
-    f is expanded once, holding f(n) only for n <= x/2: the upper half is
-    summed block by block into the exact sums of all three statistics in one
-    pass (sums._streamed_sums), and mean, log_mean and conv_mean read them
-    from that pass. It costs 4 bytes per n plus one block, where an array of
+    f is expanded once, holding f only at the odd n <= x/3: the other odd n
+    are summed block by block, and every block with its doubling chain
+    f(2^k o), into the exact sums of all three statistics in one pass
+    (sums._streamed_sums), and mean, log_mean and conv_mean read them from
+    that pass. It costs 4/3 bytes per n plus one block, where an array of
     f(n) costs 8. ht_envelope = exp(-kappa u) is recorded alongside the
     empirical constant |mean| * exp(kappa u); neither is asserted, since the
     envelope only holds up to an absolute constant. Below min_x the report is
@@ -363,7 +364,8 @@ def estimate_delta(c: float, x: float, trials: int, seed: int) -> DeltaEstimate:
     and qualifying is 0.
 
     Every candidate is scattered onto the primes of one buffer indexed by n
-    and expanded there in place by one shared plan. The threshold is decided
+    and expanded there in place by one shared plan of the odd n, the even n
+    by doubling. The threshold is decided
     from the float sum with a rigorous error margin; only a mean within the
     margin of c, and only a qualifying candidate's log-mean, is summed
     exactly.

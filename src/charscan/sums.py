@@ -14,9 +14,11 @@ smallest prime factors block by block as it expands, with no whole-range
 factor table. The statistics mean, log_mean and conv_mean take that
 expanded array, values = f.values_upto(x), so a caller reads several
 statistics of one (f, x) from one expansion at 8 bytes per n. They also
-take the result of _streamed_sums(f, x), which holds f(n) only for
-n <= x/2 and sums the upper half block by block into all three statistics
-in one pass, at 4 bytes per n plus one block; lemma_b_report reads them so.
+take the result of _streamed_sums(f, x), which holds f only at the odd
+n <= x/3 and sums the other odd n block by block, each block with its
+doubling chain f(2^k n), into the statistics asked for in one pass, at
+4/3 bytes per n plus one block; lemma_b_report reads all three so, and the
+means command mean and log_mean.
 """
 
 from __future__ import annotations
@@ -195,8 +197,9 @@ class CompletelyMultiplicativeFunction:
         """f(1..floor(x)) as float64 (index i holds n = i + 1).
 
         The result is a view of one length floor(x) + 1 buffer indexed by n,
-        expanded in place from f's values scattered onto the primes by one
-        expansion plan, whose blocks sieve their own smallest prime factors.
+        expanded in place from f's values scattered onto the primes: the odd
+        n by one expansion plan, whose blocks sieve their own smallest prime
+        factors, and the even n by doubling, f(2 n) = f(2) * f(n).
         """
         m = _floor_finite(x)
         if m < 1:
@@ -493,38 +496,40 @@ def _exact_sum(a: np.ndarray) -> float:
     return _total(a, _mean_terms)
 
 
-# The terms each statistic sums, from a block of f(n) for n = first,
-# first + 1, ... and m = floor(x): f(n) for the mean, f(n)/n for the log-mean
-# and f(n) floor(m/n) for the convolution mean. Each term depends on its own
-# n alone, so any split of n <= m into blocks gives the same terms.
+# The terms each statistic sums, from a block of f(n) for the arithmetic
+# progression n = first, first + step, ... and m = floor(x): f(n) for the
+# mean, f(n)/n for the log-mean and f(n) floor(m/n) for the convolution mean.
+# Each term depends on its own n alone, so any split of n <= m into blocks
+# gives the same terms.
 
 
-def _mean_terms(block: np.ndarray, first: int, m: int) -> np.ndarray:
+def _mean_terms(block: np.ndarray, first: int, step: int, m: int) -> np.ndarray:
     return np.asarray(block, dtype=np.float64)
 
 
-def _log_terms(block: np.ndarray, first: int, m: int) -> np.ndarray:
-    n = np.arange(first, first + len(block), dtype=np.float64)
+def _log_terms(block: np.ndarray, first: int, step: int, m: int) -> np.ndarray:
+    n = np.arange(first, first + step * len(block), step, dtype=np.float64)
     return np.divide(block, n, out=n)
 
 
-def _conv_terms(block: np.ndarray, first: int, m: int) -> np.ndarray:
+def _conv_terms(block: np.ndarray, first: int, step: int, m: int) -> np.ndarray:
     # floor(x/d) equals floor(m/d) for integer d, so the counts are exact
     # integers; d is freed on return, before the product is summed
-    d = np.arange(first, first + len(block), dtype=np.int64)
+    d = np.arange(first, first + step * len(block), step, dtype=np.int64)
     return block * np.floor_divide(m, d, out=d)
 
 
-_Terms = Callable[[np.ndarray, int, int], np.ndarray]
+_Terms = Callable[[np.ndarray, int, int, int], np.ndarray]
 _TERMS: tuple[_Terms, ...] = (_mean_terms, _log_terms, _conv_terms)
 
 
 @dataclass(frozen=True, eq=False)
 class _StreamedSums:
-    """The exact sums of every statistic's terms over n <= m, from one pass.
+    """The exact sums of statistics' terms over n <= m, from one pass.
 
-    totals maps each of _TERMS to its correctly rounded sum. len() is m, so a
-    statistic checks it against x as it checks an array of f(n).
+    totals maps each terms function summed (all of _TERMS unless fewer were
+    asked for) to its correctly rounded sum. len() is m, so a statistic
+    checks it against x as it checks an array of f(n).
     """
 
     m: int
@@ -534,44 +539,58 @@ class _StreamedSums:
         return self.m
 
 
-def _streamed_sums(f: CompletelyMultiplicativeFunction, x: float) -> _StreamedSums:
-    """Every statistic's exact sum for f at x, holding f(n) for n <= m // 2 only.
+def _streamed_sums(
+    f: CompletelyMultiplicativeFunction, x: float, terms: tuple[_Terms, ...] = _TERMS
+) -> _StreamedSums:
+    """The exact sum of each of terms for f at x, holding f only at odd n <= m // 3.
 
-    m = floor(x) >= 2. The lower half, n <= m // 2, is expanded in place in
-    one buffer of m // 2 + 1 values, as values_upto expands all of it. The
-    one expansion plan of m then carries on past that buffer into one block
-    buffer of at most min(_PLAN_BLOCK, m - m // 2) values: both factors of a
-    composite n <= m are at most m // 2, so they are read from the held
-    half, and the primes of the block take f(p) straight from f.values,
-    which equals the f(p) * f(1) of the full expansion. Each block is summed
-    into all three totals at once and then overwritten by the next; the
-    lower half is summed last. The sums are exact, so the totals equal
-    those of the full array bit for bit, at 4 bytes per n plus one block.
+    m = floor(x) >= 2. f at the odd n <= m // 3 is expanded in place in one
+    buffer w, w[i] = f(2 i + 1), as values_upto expands the odd n of its
+    array. The one expansion plan of m then carries on past w into one block
+    buffer of at most _PLAN_BLOCK values: both factors of an odd composite
+    n <= m are at most m // 3, so they are read from w, and the primes of
+    the block take f(p) straight from f.values, which equals the
+    f(p) * f(1) of the full expansion. Every even n is o 2^k for an odd o,
+    with f(o 2^k) = f(2) * f(o 2^(k-1)), the direct recurrence's product.
+    So each block of odd o, from o = first on, is summed with its doubling
+    chain: the o with o 2^k <= m are a prefix of the block, whose n form
+    the progression from first 2^k in steps of 2^(k+1), and the prefix is
+    multiplied in place by f(2) once per level. A block is summed into every
+    total at once and then overwritten; w is summed last, when no
+    block reads it any more. The sums are exact, so the totals equal those
+    of the full array bit for bit, at 8/6 bytes per n plus one block.
     """
     m = _floor_finite(x)
     if m < 2:
         raise ValueError("x must be at least 2")
     if m > f.limit:
         raise ValueError(f"f is only defined up to {f.limit}, need {m}")
-    half = m // 2
-    k = np.searchsorted(f.primes, half, side="right")  # the primes held in v
-    v = np.empty(half + 1)
-    v[f.primes[:k]] = f.values[:k]
-    sums = {terms: _ExactAccumulator() for terms in _TERMS}
+    held = max((m // 3 + 1) // 2, 1)  # the odd n <= m // 3, and n = 1 at m = 2
+    k = np.searchsorted(f.primes, 2 * held, side="right")  # 2 and the primes in w
+    w = np.empty(held)
+    w[f.primes[1:k] >> 1] = f.values[1:k]
+    two = f.values[0]
+    sums = {t: _ExactAccumulator() for t in terms}
 
     def add(block: np.ndarray, first: int) -> None:
-        for terms, acc in sums.items():
-            acc.add(terms(block, first, m))
+        # block holds f(o) for the odd o = first, first + 2, ...
+        scale = 1
+        while len(block):
+            for t, acc in sums.items():
+                acc.add(t(block, first * scale, 2 * scale, m))
+            scale *= 2
+            block = block[: max((m // scale - first) // 2 + 1, 0)]
+            block *= two
 
-    spill = np.empty(min(_PLAN_BLOCK, m - half))
-    for first, block in _expand(_expansion_plan(m), v, spill):
-        j = np.searchsorted(f.primes, first + len(block))
-        block[f.primes[k:j] - first] = f.values[k:j]
+    spill = np.empty(min(_PLAN_BLOCK, (m + 1) // 2 - held))
+    for first, block in _expand(_expansion_plan(m), w, spill):
+        j = np.searchsorted(f.primes, 2 * (first + len(block)))
+        block[(f.primes[k:j] >> 1) - first] = f.values[k:j]
         k = j
-        add(block, first)
-    for lo, hi in _block_bounds(half):
-        add(v[lo + 1 : hi + 1], lo + 1)
-    return _StreamedSums(m, {terms: acc.value() for terms, acc in sums.items()})
+        add(block, 2 * first + 1)
+    for lo, hi in _block_bounds(held):
+        add(w[lo:hi], 2 * lo + 1)
+    return _StreamedSums(m, {t: acc.value() for t, acc in sums.items()})
 
 
 def _total(values: np.ndarray | _StreamedSums, terms: _Terms) -> float:
@@ -580,7 +599,7 @@ def _total(values: np.ndarray | _StreamedSums, terms: _Terms) -> float:
     if isinstance(values, _StreamedSums):
         return values.totals[terms]
     m = len(values)
-    return _exact_total(terms(values[lo:hi], lo + 1, m) for lo, hi in _block_bounds(m))
+    return _exact_total(terms(values[lo:hi], lo + 1, 1, m) for lo, hi in _block_bounds(m))
 
 
 def _length(values: np.ndarray | _StreamedSums, x: float) -> int:

@@ -232,25 +232,57 @@ EXPANSION_LIMITS = sorted(
     | {2**k + d for k in (2, 3, 4, 7, 12, 16) for d in (-1, 0, 1)}
 )
 
-# p*p - 1, p*p and p*p + 1 for primes p next to sqrt(2**16) and sqrt(2**17):
-# the last block ends just before, at or just after the first multiple that
-# p marks, around the block edges 2**16 and 2**17.
-SQUARE_EDGE_LIMITS = [p * p + d for p in (251, 257, 359, 367) for d in (-1, 0, 1)]
+# The odd blocks of the plan start at o = 3, 9, 27, ..., 3^11 = 177147 and
+# then every 2^17 integers (2^16 odd values), so 308219 next; limits at each
+# edge, and one odd value either side.
+ODD_EDGE_LIMITS = sorted(
+    {3**k + d for k in (2, 3, 4, 10, 11) for d in (-2, -1, 0, 1, 2)}
+    | {177147 + 2**17 + d for d in (-2, -1, 0, 1, 2)}
+)
+
+# p*p - 2, ..., p*p + 2 for odd primes p next to the square roots of the
+# block edges 3^10 = 59049 (243), 3^11 = 177147 (420.9) and 308219 (555.2):
+# the last block ends just before, at or just after the first odd multiple
+# that p marks.
+SQUARE_EDGE_LIMITS = [
+    p * p + d for p in (241, 251, 419, 421, 547, 557) for d in (-2, -1, 0, 1, 2)
+]
+
+
+def plan_edges(limit):
+    """(lo, hi) of the plan's odd blocks: lo = 3 first, hi = min(3 lo,
+    lo + 2 _PLAN_BLOCK, limit + 1), and the next lo is the first odd o >= hi."""
+    lo = 3
+    while lo <= limit:
+        hi = min(3 * lo, lo + 2 * arith._PLAN_BLOCK, limit + 1)
+        yield lo, hi
+        lo = hi + (hi % 2 == 0)
 
 
 def assert_plan_matches_table(limit):
-    """Each plan block is (spf[lo:hi], n // spf[lo:hi]) of build_spf, over
-    the blocks lo <= n < hi with hi = min(2 lo, lo + _PLAN_BLOCK, limit + 1)."""
+    """Each plan block holds, at the odd o of [lo, hi), the positions
+    (spf[o] - 1) // 2 and (o // spf[o] - 1) // 2 of a build_spf table."""
     spf = build_spf(max(limit, 2)).spf
-    lo = 2
-    for index, cofactor in _expansion_plan(limit):
-        hi = min(2 * lo, lo + arith._PLAN_BLOCK, limit + 1)
-        want = spf[lo:hi].astype(np.intp)
+    blocks = list(_expansion_plan(limit))
+    edges = list(plan_edges(limit))
+    assert len(blocks) == len(edges), limit
+    for (index, cofactor), (lo, hi) in zip(blocks, edges):
+        odd = np.arange(lo, hi, 2)
+        want = spf[odd].astype(np.intp)
         assert index.dtype == cofactor.dtype == np.intp
-        assert index.tobytes() == want.tobytes(), (limit, lo)
-        assert cofactor.tobytes() == (np.arange(lo, hi) // want).tobytes(), (limit, lo)
-        lo = hi
-    assert lo == limit + 1
+        assert len(index) <= arith._PLAN_BLOCK
+        assert index.tobytes() == ((want - 1) // 2).tobytes(), (limit, lo)
+        assert cofactor.tobytes() == ((odd // want - 1) // 2).tobytes(), (limit, lo)
+
+
+def prime_values(limit, seed, two=None):
+    """Random float64 values at the primes of a buffer indexed by n, with
+    f(1) = 1 and noise at the composites; f(2) = two when given."""
+    prime_vals = np.random.default_rng(seed).uniform(-1.0, 1.0, size=limit + 1)
+    prime_vals[1] = 1.0
+    if two is not None and limit >= 2:
+        prime_vals[2] = two
+    return prime_vals
 
 
 class TestExpandMultiplicative:
@@ -258,18 +290,24 @@ class TestExpandMultiplicative:
     def wide_table(self):
         return build_spf(10**5 + 1)
 
-    @pytest.mark.parametrize("limit", EXPANSION_LIMITS + SQUARE_EDGE_LIMITS)
+    @pytest.mark.parametrize(
+        "limit", EXPANSION_LIMITS + ODD_EDGE_LIMITS + SQUARE_EDGE_LIMITS
+    )
     def test_plan_matches_the_spf_table(self, limit):
         assert_plan_matches_table(limit)
 
     @pytest.mark.parametrize("limit", EXPANSION_LIMITS)
     def test_matches_rounds_reference(self, limit, wide_table):
         # In place, in float64 and int8, against the whole-array rounds and
-        # the rank route; entries at composite n hold noise on entry.
+        # the rank route; entries at composite n hold noise on entry. The
+        # even n are reached by doubling, so f(2) = 0 and -1 are tried too.
         rng = np.random.default_rng(limit)
         floats = rng.uniform(-1.0, 1.0, size=limit + 1)
         signs = rng.integers(-1, 2, size=limit + 1).astype(np.int8)
-        for prime_vals in (floats, signs):
+        cases = [floats, signs] + [
+            prime_values(limit, limit, two) for two in (0.0, -1.0)
+        ]
+        for prime_vals in cases:
             prime_vals[1] = 1
             v = prime_vals.copy()
             got = _apply_plan(_expansion_plan(limit), v)
@@ -310,61 +348,62 @@ class TestExpandMultiplicative:
             rank_apply(by_rank, short, out)
             assert out.tobytes() == want[1:].tobytes()
 
-    @pytest.mark.parametrize("limit", EXPANSION_LIMITS)
-    def test_spill_past_the_held_half_matches_the_full_expansion(self, limit):
-        # v holds n <= limit // 2. The rest of the plan lands in spill one
-        # block at a time, and with its primes written it is the tail of the
-        # whole expansion, bit for bit.
-        rng = np.random.default_rng(limit)
-        prime_vals = rng.uniform(-1.0, 1.0, size=limit + 1)
-        prime_vals[1] = 1.0
-        want = _apply_plan(_expansion_plan(limit), prime_vals.copy())
-        half = limit // 2
+    @pytest.mark.parametrize("limit", EXPANSION_LIMITS + ODD_EDGE_LIMITS)
+    def test_spill_past_the_held_odd_third_matches_the_full_expansion(self, limit):
+        # w holds f at the odd n <= limit // 3, by position. The rest of the
+        # plan lands in spill one block at a time, and with its primes
+        # written it is the tail of the odd values of the whole expansion,
+        # bit for bit.
+        prime_vals = prime_values(limit, limit)
+        want = rounds_expand(prime_vals, build_spf(max(limit, 2)), limit)[1::2]
+        held = max((limit // 3 + 1) // 2, 1)
         primes = sieve_primes(limit)
-        v = prime_vals[: half + 1].copy()
-        spill = np.full(min(arith._PLAN_BLOCK, limit - half), np.nan)
+        w = prime_vals[1 : 2 * held : 2].copy()
+        spill = np.full(min(arith._PLAN_BLOCK, len(want) - held), np.nan)
         tail = []
-        for first, block in _expand(_expansion_plan(limit), v, spill):
-            assert first == half + 1 + sum(map(len, tail))
+        for first, block in _expand(_expansion_plan(limit), w, spill):
+            assert first == held + sum(map(len, tail))
             assert np.shares_memory(block, spill)
-            inside = primes[(primes >= first) & (primes < first + len(block))]
-            block[inside - first] = prime_vals[inside]
+            odd = 2 * np.arange(first, first + len(block)) + 1
+            inside = np.intersect1d(primes, odd)
+            block[(inside - 1) // 2 - first] = prime_vals[inside]
             tail.append(block.copy())
-        assert v.tobytes() == want[: half + 1].tobytes()
-        assert np.concatenate(tail).tobytes() == want[half + 1 :].tobytes()
+        assert w.tobytes() == want[:held].tobytes()
+        assert np.concatenate([w] + tail).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 64, 1000])
     def test_block_size_does_not_change_bits(self, block, monkeypatch):
         monkeypatch.setattr(arith, "_PLAN_BLOCK", block)
         limit = 5000
         table = build_spf(limit)
-        rng = np.random.default_rng(block)
-        prime_vals = rng.uniform(-1.0, 1.0, size=limit + 1)
-        prime_vals[1] = 1.0
+        prime_vals = prime_values(limit, block)
         got = _apply_plan(_expansion_plan(limit), prime_vals.copy())
         assert got.tobytes() == rounds_expand(prime_vals, table, limit).tobytes()
         blocks = list(_expansion_plan(limit))
         assert max(len(index) for index, _ in blocks) <= block
-        assert sum(len(index) for index, _ in blocks) == limit - 1
-        for edge in (limit, 48, 49, 50, 120, 121, 122):
+        assert sum(len(index) for index, _ in blocks) == (limit - 1) // 2
+        for edge in (limit, 48, 49, 50, 120, 121, 122, 242, 243, 244):
             assert_plan_matches_table(edge)
 
     def test_plan_positions(self):
-        # index is spf(n) and cofactor n // spf(n), both positions by n; the
-        # rank route's index locates spf(n) among the primes and its
-        # cofactor is n // spf(n) - 1.
+        # For odd o, index is the position (spf(o) - 1) // 2 and cofactor
+        # that of o // spf(o), o = 3, 5, ... in order; the rank route's index
+        # locates spf(n) among the primes and its cofactor is n // spf(n) - 1.
         limit = 300
         table = build_spf(limit)
         primes = sieve_primes(limit).tolist()
         index = np.concatenate([i for i, _ in _expansion_plan(limit)])
         cofactor = np.concatenate([c for _, c in _expansion_plan(limit)])
+        assert len(index) == len(cofactor) == (limit - 1) // 2
+        for o in range(3, limit + 1, 2):
+            p = trial_spf(o)
+            assert 2 * index[(o - 3) // 2] + 1 == p
+            assert 2 * cofactor[(o - 3) // 2] + 1 == o // p
         rank_blocks = list(rank_plan(table, limit, np.array(primes)))
         rank_index = np.concatenate([i for i, _ in rank_blocks])
         rank_cofactor = np.concatenate([c for _, c in rank_blocks])
         for n in range(2, limit + 1):
             p = trial_spf(n)
-            assert index[n - 2] == p
-            assert cofactor[n - 2] == n // p
             assert primes[rank_index[n - 2]] == p
             assert rank_cofactor[n - 2] == n // p - 1
 

@@ -362,6 +362,22 @@ class TestRender:
     def test_json_route_equals_the_indent_encoder(self, rows):
         assert cli._render(rows, [], "json") == json.dumps(rows, indent=2) + "\n"
 
+    @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_pieces_join_to_the_whole_text(self, fmt, count):
+        # pv-scan writes its rows in pieces of _SCAN_CHUNK rows; together
+        # they are the text _render gives for all of them.
+        rows = [
+            {"conductor": 2 * i + 3, "family": "legendre", "max_abs": i,
+             "argmax": i // 2 + 1, "ratio_log": i / 7, "timestamp": 1_700_000_000,
+             **({"ratio_loglog": i / 3} if i % 3 else {})}
+            for i in range(count)
+        ]
+        pieces = list(cli._render_pieces(rows, cli.SCAN_COLUMNS, fmt))
+        assert "".join(pieces) == cli._render(rows, cli.SCAN_COLUMNS, fmt)
+        # the opening, one piece per chunk, and the closing
+        assert len(pieces) == -(-count // cli._SCAN_CHUNK) + 2
+
 
 class TestThmA:
     def test_report_file_round_trip(self, tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from charscan import arith, characters, experiments, sums
-from charscan.arith import _expansion_plan, is_prime, liouville, sieve_primes
+from charscan.arith import _expansion_plan, build_spf, is_prime, liouville, sieve_primes
 from charscan.characters import evaluate, legendre_character, product_character
 from charscan.experiments import (
     DeltaEstimate,
@@ -38,6 +38,7 @@ from charscan.sums import (
     mean,
     partial_sum,
 )
+from test_arith import rounds_expand
 
 CMF = CompletelyMultiplicativeFunction
 
@@ -300,10 +301,11 @@ class TestLemmaBReport:
             lemma_b_report(CMF.ones(150), 150, 200)
 
     def test_peak_memory_is_the_values_plus_a_few_blocks(self):
-        # Past f's values, the report holds f(n) for n <= x/2 only, 4 bytes
-        # per n, and block-sized temporaries, the factor sieve's and the
-        # upper half's block included; no other length-x array. A full
-        # float64 array of f(n) alone would take 8x bytes.
+        # Past f's values, the report holds f at the odd n <= x/3 only, 4/3
+        # bytes per n, and block-sized temporaries, the factor sieve's and
+        # the streamed blocks' included; no other length-x array. A full
+        # float64 array of f(n) alone would take 8x bytes, and f(n) for
+        # n <= x/2 4x bytes.
         x = 10**6
         f = CMF.random(x, np.random.default_rng(3))
         tracemalloc.start()
@@ -312,7 +314,7 @@ class TestLemmaBReport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * x + 3 * 10**6
+        assert peak < 4 * x // 3 + 3 * 10**6
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_x_rejected(self, bad):
@@ -338,38 +340,65 @@ class TestLemmaBReport:
         ]
 
 
-# x next to the plan's block edges 2^16 and 2^17, where floor(x)/2 falls
-# inside a block or on its edge, and the smallest x, where the held half is
-# f(1) alone.
-STREAMED_XS = [2, 3, 4, 5, 99.5, 2**16 - 1, 2**16, 2**16 + 1, 2**17, 2**17 + 3, 10**5 + 1]
-STREAMED_LIMIT = 2**17 + 3
+# x next to 2^16 and 2^17; next to 3^k, where floor(x)/3 and floor(x) fall
+# on an edge of the plan's odd blocks (3, 9, 27, ..., 3^11 = 177147, then
+# steps of 2^17 odd values, so 308219 next); next to 3 * 2^15, where
+# floor(x)/3 crosses an even number; and the smallest x, where the held odd
+# values are f(1) alone.
+STREAMED_XS = sorted(
+    {2, 3, 4, 5, 99.5, 2**16 - 1, 2**16, 2**16 + 1, 2**17, 2**17 + 3, 10**5 + 1}
+    | {3**k + d for k in (2, 3, 10, 11) for d in (-1, 0, 1)}
+    | {3 * 2**15 + d for d in (-1, 0, 1)}
+    | {177147 + 2**17 + d for d in (-1, 0, 1)}
+)
+STREAMED_LIMIT = max(STREAMED_XS)
 
 
 @pytest.fixture(scope="module")
 def streamed_functions():
     limit = STREAMED_LIMIT
+    zero_at_2 = CMF.random(limit, np.random.default_rng(3)).values.copy()
+    zero_at_2[0] = 0.0
+    minus_at_2 = CMF.random(limit, np.random.default_rng(4)).values.copy()
+    minus_at_2[0] = -1.0
     return {
         "ones": CMF.ones(limit),
         "liouville": CMF.liouville(limit),
         "random_1": CMF.random(limit, np.random.default_rng(1)),
         "random_2": CMF.random(limit, np.random.default_rng(2)),
         "flip_2_3": CMF.ones(limit).flip([2, 3]),
+        "zero_at_2": CMF(zero_at_2, limit),
+        "minus_one_at_2": CMF(minus_at_2, limit),
     }
 
 
+@pytest.fixture(scope="module")
+def streamed_table():
+    return build_spf(STREAMED_LIMIT)
+
+
 @pytest.mark.parametrize("x", STREAMED_XS)
-@pytest.mark.parametrize("name", ["ones", "liouville", "random_1", "random_2", "flip_2_3"])
-def test_streamed_report_equals_the_full_array(name, x, streamed_functions):
-    # The report holds f(n) for n <= x/2 and streams the rest; its three
-    # statistics equal those of the full array f.values_upto(x) bit for bit.
-    # f is defined past x, and at x = 2^17 + 3 exactly up to x.
+@pytest.mark.parametrize("name", ["ones", "liouville", "random_1", "random_2", "flip_2_3",
+                                  "zero_at_2", "minus_one_at_2"])
+def test_streamed_report_equals_the_full_array(name, x, streamed_functions,
+                                               streamed_table):
+    # The report holds f at the odd n <= x/3, streams the other odd n, and
+    # reaches every even n by doubling; its three statistics equal math.fsum
+    # over the terms of f(1..x) from the whole-array spf recurrence of the
+    # tests, bit for bit. f is defined past x, and at the largest x exactly
+    # up to x.
     f = streamed_functions[name]
+    m = math.floor(x)
+    prime_vals = np.zeros(STREAMED_LIMIT + 1)
+    prime_vals[1] = 1.0
+    prime_vals[f.primes] = f.values
+    vals = rounds_expand(prime_vals[: m + 1], streamed_table, m)[1:]
+    n = np.arange(1, m + 1)
     report = lemma_b_report(f, x)
-    vals = f.values_upto(x)
     for got, want in (
-        (report.mean, mean(vals, x)),
-        (report.log_mean, log_mean(vals, x)),
-        (report.conv_mean, conv_mean(vals, x)),
+        (report.mean, math.fsum(vals) / x),
+        (report.log_mean, math.fsum(vals / n) / math.log(x)),
+        (report.conv_mean, math.fsum(vals * (m // n)) / x),
     ):
         assert got.hex() == want.hex(), (name, x)
 

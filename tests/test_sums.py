@@ -391,6 +391,15 @@ class TestMeans:
         with pytest.raises(ValueError, match="only defined up to 100"):
             sums._streamed_sums(f, 101)
 
+    def test_streamed_sums_of_some_terms_equal_those_of_all(self):
+        # the means command sums the mean and log-mean terms only
+        f = CMF.random(3000, np.random.default_rng(5)).flip([2])
+        whole = sums._streamed_sums(f, 2999.5).totals
+        mean_t, log_t, conv_t = sums._TERMS
+        for terms in [(mean_t, log_t), (log_t,), (conv_t, mean_t)]:
+            part = sums._streamed_sums(f, 2999.5, terms).totals
+            assert part == {t: whole[t] for t in terms}
+
     @pytest.mark.parametrize("statistic", [mean, log_mean, conv_mean])
     def test_values_must_have_floor_x_entries(self, statistic):
         vals = CMF.random(100, np.random.default_rng(4)).values_upto(100)

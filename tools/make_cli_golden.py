@@ -4,7 +4,11 @@ The file pins the exact bytes the report commands write: burgess-scan,
 means, the lemma-b report (one row flagged below_min_x among them, and
 three at x where the held and streamed halves of the expansion meet inside
 or at the edge of a plan block), lemma-b --trials and nonresidue in JSON
-and CSV, and two thm-a report files (one with a flag). Each case runs
+and CSV, and two thm-a report files (one with a flag). The means and
+lemma-b reports are also pinned at x = 3^10 = 59049 and 59050, and at
+3 * 2^15 + 1 = 98305 and 3 * 2^16 + 1 = 196609, where the odd values held
+for the doublings meet x/3 and the odd blocks meet, for a random f, the
+Liouville function and the Liouville function flipped at 2. Each case runs
 `charscan.cli.main` with --out naming a scratch file and with time.time
 pinned to TIME, so the thm-a timestamp is fixed too; the test replays every
 case and compares the file it writes with the pinned text.
@@ -34,6 +38,15 @@ COMMANDS = [
     ["lemma-b", "3", "--f", "random"],
     ["lemma-b", "3000", "--trials", "20", "--c", "0.1"],
     ["nonresidue", "300"],
+] + [
+    [command, x, *f]
+    for command in ("means", "lemma-b")
+    for x in ("59049", "59050", "98305", "196609")
+    for f in (
+        ["--f", "random", "--seed", "2"],
+        ["--f", "liouville"],
+        ["--f", "liouville", "--flip", "2"],
+    )
 ]
 CASES = [
     argv + ["--format", fmt] for argv in COMMANDS for fmt in ("json", "csv")
