@@ -14,13 +14,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "SearchExhaustedError",
-    "SpfTable",
     "build_spf",
     "is_prime",
     "kronecker",
@@ -88,21 +86,7 @@ def sieve_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64, copy=False)
 
 
-@dataclass(frozen=True, eq=False)
-class SpfTable:
-    """Smallest-prime-factor table covering 2 <= n <= limit.
-
-    spf[n] is the least prime dividing n, so spf[n] == n exactly when n is
-    prime, and otherwise spf[n] <= sqrt(n). Entries 0 and 1 are fillers.
-    The array is marked read-only so a built table can be shared freely
-    between threads.
-    """
-
-    limit: int
-    spf: np.ndarray
-
-
-def build_spf(limit: int) -> SpfTable:
+def build_spf(limit: int) -> np.ndarray:
     """Sieve the smallest prime factor of every n up to limit.
 
     The public tabulation API, and the tests' reference for the expansion
@@ -110,6 +94,12 @@ def build_spf(limit: int) -> SpfTable:
 
     Args:
         limit: Table capacity, at least 2. Memory is 4 bytes per integer.
+
+    Returns:
+        Read-only uint32 array spf of length limit + 1: spf[n] is the least
+        prime dividing n for 2 <= n <= limit, so spf[n] == n exactly when n
+        is prime, and otherwise spf[n] <= sqrt(n). spf[0] = 0 and spf[1] = 1
+        are fillers.
     """
     if limit < 2:
         raise ValueError("limit must be at least 2")
@@ -125,7 +115,7 @@ def build_spf(limit: int) -> SpfTable:
     spf[untouched] = untouched
     spf[1] = 1
     spf.setflags(write=False)
-    return SpfTable(limit=limit, spf=spf)
+    return spf
 
 
 def kronecker(a: int, n: int) -> int:

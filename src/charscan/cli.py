@@ -7,7 +7,10 @@ JSON-lines cache, one record per line, guarded by a lock file against
 concurrent runs; reruns skip cached conductors unless --force, which
 recomputes and rewrites the file atomically. Rows are emitted as JSON or
 CSV; a report's row is its dataclass fields in declaration order, and
-pv-scan's columns are SCAN_COLUMNS. Summaries go to stderr.
+pv-scan's columns are SCAN_COLUMNS. Every command's rows are written by
+_write, inside the frame (opening, separator, closing) that _frame alone
+defines, from the texts of runs of rows: _render's, or for counterexample
+one %-format per row straight from the hit columns. Summaries go to stderr.
 
 Work that splits into chunks runs on worker processes through _forked_map:
 chunk i runs on process i mod workers, this process being process 0, and
@@ -16,11 +19,10 @@ one-process route. pv-scan runs its kernel on chunks of 256 conductors on
 --workers processes (default: every CPU the process may use), and appends
 each chunk's rows to the cache as they arrive, so an interrupted scan loses
 at most one chunk; its rows are rendered and written out 256 at a time too.
-Counterexample rows are formatted in chunks of 2^12
-rows, small enough that the text in flight stays well below the hits' own
-columns, on every CPU the process may use. For pv-scan, --out names the
-cache file, so its rows always go to stdout; thm-a instead writes its
-report file and prints the chain audit.
+Counterexample rows are formatted in chunks of 2^12 rows, small enough that
+the text in flight stays well below the hits' own columns, on every CPU the
+process may use. For pv-scan, --out names the cache file, so its rows always
+go to stdout; thm-a instead writes its report file and prints the chain audit.
 
 Each subcommand accepts only the flags it reads. All take --out and --limit
 (the largest modulus or x a run may tabulate; beyond it the run exits 3
@@ -36,7 +38,6 @@ import contextlib
 import csv
 import dataclasses
 import io
-import itertools
 import json
 import math
 import os
@@ -95,13 +96,15 @@ SCAN_COLUMNS = [
 # the search's (44.1-44.2 MiB); 2^14 rows added 6.2 MiB, and all four ran
 # equally fast. 2^12 keeps a factor of two from that step.
 _HIT_CHUNK = 1 << 12
-# One row as json.dumps(rows, indent=2) and csv.DictWriter lay it out.
-_JSON_HIT = (
-    '  {\n    "flipped_primes": %s,\n    "N": %d,\n    "mean_at_N": %r,\n'
-    '    "log_mean_at_N": %r,\n    "ratio": %r\n  }'
+_HIT_COLUMNS = ["flipped_primes", "N", "mean_at_N", "log_mean_at_N", "ratio"]
+# One row as json.dumps(rows, indent=2) and csv.DictWriter lay it out, one
+# %-format per column: %d for N, and %r for the floats, which prints the
+# repr that json.dumps and csv both write.
+_HIT_SPECS = ("%s", "%d", "%r", "%r", "%r")
+_JSON_HIT = "  {\n%s\n  }" % ",\n".join(
+    f'    "{c}": {s}' for c, s in zip(_HIT_COLUMNS, _HIT_SPECS)
 )
-_CSV_HEADER = "flipped_primes,N,mean_at_N,log_mean_at_N,ratio\n"
-_CSV_HIT = "%s,%d,%r,%r,%r\n"
+_CSV_HIT = ",".join(_HIT_SPECS) + "\n"
 # pv-scan runs its kernel, appends its rows and writes them out this many
 # conductors at a time, so an interrupt loses at most this many rows.
 _SCAN_CHUNK = 256
@@ -264,9 +267,10 @@ def _csv_lines(rows: list[dict], columns: list[str]) -> str:
 
 
 def _render(rows: list[dict], columns: list[str], fmt: str) -> str:
-    opening, sep, closing = _frame(columns, fmt, not rows)
-    body = _csv_lines(rows, columns) if fmt == "csv" else sep.join(map(_json_row, rows))
-    return opening + body + closing
+    """The rows' text inside the frame: CSV lines, or JSON rows and separators."""
+    if fmt == "csv":
+        return _csv_lines(rows, columns)
+    return _frame(columns, fmt, False)[1].join(map(_json_row, rows))
 
 
 def _json_row(row) -> str:
@@ -280,32 +284,28 @@ def _json_row(row) -> str:
     return "  " + json.dumps(row, indent=2).replace("\n", "\n  ")
 
 
-def _render_pieces(rows: list[dict], columns: list[str], fmt: str) -> Iterator[str]:
-    """_render(rows, columns, fmt) in pieces of _SCAN_CHUNK rows, lazily.
+def _write(
+    texts: Iterable[str], columns: list[str], fmt: str, empty: bool, out: str | None
+) -> None:
+    """Write rows in their frame to the path out, or stdout when it is None.
 
-    Each chunk still goes through _render, the one place rows are rendered;
-    the frame _frame gives is taken off it, and the chunks are joined by the
-    separator inside one frame. The pieces join to the whole text, which is
-    never held at once.
+    texts are the _render texts of consecutive runs of rows, none of them
+    empty, and empty says there are no rows at all. The output is the
+    frame's opening, the texts joined by its separator, and its closing,
+    so it is the same however the rows were split.
     """
-    opening, sep, closing = _frame(columns, fmt, not rows)
-    yield opening
-    for start in range(0, len(rows), _SCAN_CHUNK):
-        text = _render(rows[start : start + _SCAN_CHUNK], columns, fmt)
-        body = text.removeprefix(opening).removesuffix(closing)
-        yield (sep + body) if start else body
-    yield closing
-
-
-def _write(chunks: Iterable[str], out: str | None) -> None:
-    """Write text chunks to the path out, or stdout when it is None."""
-    if out is None:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
-        return
-    with Path(out).open("w", encoding="utf-8") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
+    opening, sep, closing = _frame(columns, fmt, empty)
+    with (
+        contextlib.nullcontext(sys.stdout)
+        if out is None
+        else Path(out).open("w", encoding="utf-8")
+    ) as fh:
+        fh.write(opening)
+        for i, text in enumerate(texts):
+            if i:
+                fh.write(sep)
+            fh.write(text)
+        fh.write(closing)
 
 
 def _emit(rows: list[dict], args: argparse.Namespace) -> None:
@@ -313,31 +313,25 @@ def _emit(rows: list[dict], args: argparse.Namespace) -> None:
 
     The columns are the first row's keys, in order; every caller has a row.
     """
-    _write([_render(rows, list(rows[0]), args.format)], args.out)
+    columns = list(rows[0])
+    _write([_render(rows, columns, args.format)], columns, args.format, False, args.out)
 
 
-def _hit_format(
-    hits: CounterexampleHits, fmt: str
-) -> tuple[str, Callable[[int], str], int, str]:
-    """The text _render would give for the hits' rows, in _HIT_CHUNK-row chunks.
+def _hit_format(hits: CounterexampleHits, fmt: str) -> Callable[[int], str]:
+    """The _render text of the hits' rows, as chunk(i) of _HIT_CHUNK rows each.
 
-    Returns (opening, chunk, count, closing): the text is the opening, then
-    chunk(0), ..., chunk(count - 1), then the closing. Each row is one
-    %-format of column values: %d for N, and %r for the floats, which prints
-    the repr that json.dumps and csv both write. The mean and ratio columns
-    are computed per chunk from the stored ones.
+    Each row is one %-format of its column values, _JSON_HIT or _CSV_HIT.
+    The mean and ratio columns are computed per chunk from the stored ones.
     """
-    count = -(-len(hits) // _HIT_CHUNK)
+    sep = _frame(_HIT_COLUMNS, fmt, False)[1]
     if fmt == "csv":
-        heads = [";".join(str(p) for p in subset) for subset in hits.subsets]
-        template, sep, opening, closing = _CSV_HIT, "", _CSV_HEADER, ""
+        template, heads = _CSV_HIT, [_csv_cell(subset) for subset in hits.subsets]
     else:
+        template = _JSON_HIT
         heads = [
             json.dumps(list(subset), indent=2).replace("\n", "\n    ")
             for subset in hits.subsets
         ]
-        template, sep = _JSON_HIT, ",\n"
-        opening, closing = ("[\n", "\n]\n") if count else ("[]\n", "")
 
     def chunk(i: int) -> str:
         start = i * _HIT_CHUNK
@@ -349,9 +343,9 @@ def _hit_format(
             part.log_mean_at_N.tolist(),
             part.ratio.tolist(),
         )
-        return (sep if start else "") + sep.join(map(template.__mod__, rows))
+        return sep.join(map(template.__mod__, rows))
 
-    return opening, chunk, count, closing
+    return chunk
 
 
 def _allowed_cpus() -> int:
@@ -528,7 +522,11 @@ def _cmd_pv_scan(args: argparse.Namespace) -> int:
     in_range = [
         by_key[(p, "legendre")] for p in targets if (p, "legendre") in by_key
     ]
-    _write(_render_pieces(in_range, SCAN_COLUMNS, args.format), None)
+    texts = (
+        _render(in_range[i : i + _SCAN_CHUNK], SCAN_COLUMNS, args.format)
+        for i in range(0, len(in_range), _SCAN_CHUNK)
+    )
+    _write(texts, SCAN_COLUMNS, args.format, not in_range, None)
     skipped = len(targets) - len(todo)
     if in_range:
         max_log = max(r["ratio_log"] for r in in_range)
@@ -645,9 +643,9 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     m = math.floor(args.x_max)
     _capacity(m, args)
     hits = counterexample_search(args.x_max, args.flip_budget, args.threshold)
-    opening, chunk, count, closing = _hit_format(hits, args.format)
-    with _forked_map(chunk, count, _allowed_cpus()) as texts:
-        _write(itertools.chain([opening], texts, [closing]), args.out)
+    count = -(-len(hits) // _HIT_CHUNK)
+    with _forked_map(_hit_format(hits, args.format), count, _allowed_cpus()) as texts:
+        _write(texts, _HIT_COLUMNS, args.format, not count, args.out)
     print(f"counterexample: {len(hits)} hits", file=sys.stderr)
     return 0
 

@@ -114,6 +114,16 @@ def _floor_finite(x: float, name: str = "x") -> int:
     return math.floor(x)
 
 
+def _floor_in_domain(f: CompletelyMultiplicativeFunction, x: float, least: int) -> int:
+    """floor(x), checked to be at least least and at most f's limit."""
+    m = _floor_finite(x)
+    if m < least:
+        raise ValueError(f"x must be at least {least}")
+    if m > f.limit:
+        raise ValueError(f"f is only defined up to {f.limit}, need {m}")
+    return m
+
+
 def _shared_primes(limit: int) -> np.ndarray:
     """sieve_primes(limit), read-only, shared while anyone holds it.
 
@@ -201,11 +211,7 @@ class CompletelyMultiplicativeFunction:
         n by one expansion plan, whose blocks sieve their own smallest prime
         factors, and the even n by doubling, f(2 n) = f(2) * f(n).
         """
-        m = _floor_finite(x)
-        if m < 1:
-            raise ValueError("x must be at least 1")
-        if m > self.limit:
-            raise ValueError(f"f is only defined up to {self.limit}, need {m}")
+        m = _floor_in_domain(self, x, 1)
         if m == 1:
             return np.ones(1)
         k = np.searchsorted(self.primes, m, side="right")
@@ -560,11 +566,7 @@ def _streamed_sums(
     block reads it any more. The sums are exact, so the totals equal those
     of the full array bit for bit, at 8/6 bytes per n plus one block.
     """
-    m = _floor_finite(x)
-    if m < 2:
-        raise ValueError("x must be at least 2")
-    if m > f.limit:
-        raise ValueError(f"f is only defined up to {f.limit}, need {m}")
+    m = _floor_in_domain(f, x, 2)
     held = max((m // 3 + 1) // 2, 1)  # the odd n <= m // 3, and n = 1 at m = 2
     k = np.searchsorted(f.primes, 2 * held, side="right")  # 2 and the primes in w
     w = np.empty(held)
@@ -695,11 +697,7 @@ def ht_u(f: CompletelyMultiplicativeFunction, x: float) -> float:
     Zero exactly when f is 1 on every prime up to x; grows as f moves away
     from the constant function.
     """
-    m = _floor_finite(x)
-    if m < 2:
-        raise ValueError("x must be at least 2")
-    if m > f.limit:
-        raise ValueError(f"f is only defined up to {f.limit}, need {m}")
+    m = _floor_in_domain(f, x, 2)
     k = np.searchsorted(f.primes, m, side="right")
     terms = 1.0 - f.values[:k]
     terms /= f.primes[:k]

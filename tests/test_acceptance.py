@@ -88,8 +88,7 @@ def test_criterion_2():
         "periodicity, orthogonality, reflection, multiplicativity for every "
         "admissible modulus up to 10000",
     ) as info:
-        table = build_spf(20001)
-        spf = table.spf
+        spf = build_spf(20001)
         moduli = []
         for q in range(3, 10001, 2):
             n, factors, squarefree = q, [], True

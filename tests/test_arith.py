@@ -53,8 +53,9 @@ def square_residues(p):
 
 def rounds_expand(prime_vals, table, limit):
     """Reference expansion: v[n] = f(spf[n]) * v[n // spf[n]] in whole-array
-    rounds; round r settles every n with at most r prime factors."""
-    spf = table.spf[: limit + 1].astype(np.int64)
+    rounds, spf being the build_spf table; round r settles every n with at
+    most r prime factors."""
+    spf = table[: limit + 1].astype(np.int64)
     spf[0] = 1
     n = np.arange(limit + 1, dtype=np.int64)
     cof = n // spf
@@ -73,13 +74,13 @@ def rounds_expand(prime_vals, table, limit):
 
 def rank_plan(table, limit, primes):
     """Blocks of (position of spf(n) among primes, n // spf(n) - 1)."""
-    assert table.limit >= limit
+    assert len(table) > limit
     rank = np.empty(limit + 1, dtype=np.uint32)  # read only at primes
     rank[primes] = np.arange(len(primes), dtype=np.uint32)
     lo = 2
     while lo <= limit:
         hi = min(2 * lo, lo + arith._PLAN_BLOCK, limit + 1)
-        s = table.spf[lo:hi]
+        s = table[lo:hi]
         cofactor = np.arange(lo, hi, dtype=np.uint32)
         np.floor_divide(cofactor, s, out=cofactor)
         cofactor -= 1
@@ -129,9 +130,11 @@ class TestSievePrimes:
 class TestBuildSpf:
     def test_examples(self):
         t = build_spf(100)
-        assert t.spf[9] == 3
-        assert t.spf[7] == 7
-        assert t.spf[91] == 7
+        assert t.dtype == np.uint32
+        assert len(t) == 101
+        assert t[9] == 3
+        assert t[7] == 7
+        assert t[91] == 7
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -140,27 +143,27 @@ class TestBuildSpf:
     def test_matches_trial_division(self):
         t = build_spf(3000)
         for n in range(2, 3001):
-            assert t.spf[n] == trial_spf(n)
+            assert t[n] == trial_spf(n)
 
     def test_prime_fixed_points_match_sieve(self):
         limit = 5000
         t = build_spf(limit)
         n = np.arange(limit + 1)
-        fixed = np.flatnonzero(t.spf == n)
+        fixed = np.flatnonzero(t == n)
         fixed = fixed[fixed >= 2]
         assert list(fixed) == list(sieve_primes(limit))
 
     def test_small_factor_or_prime(self):
         t = build_spf(2000)
         for n in range(2, 2001):
-            s = int(t.spf[n])
+            s = int(t[n])
             assert n % s == 0
             assert s * s <= n or s == n
 
     def test_read_only(self):
         t = build_spf(10)
         with pytest.raises(ValueError):
-            t.spf[3] = 9
+            t[3] = 9
 
 
 class TestKronecker:
@@ -262,7 +265,7 @@ def plan_edges(limit):
 def assert_plan_matches_table(limit):
     """Each plan block holds, at the odd o of [lo, hi), the positions
     (spf[o] - 1) // 2 and (o // spf[o] - 1) // 2 of a build_spf table."""
-    spf = build_spf(max(limit, 2)).spf
+    spf = build_spf(max(limit, 2))
     blocks = list(_expansion_plan(limit))
     edges = list(plan_edges(limit))
     assert len(blocks) == len(edges), limit

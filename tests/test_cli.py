@@ -357,26 +357,59 @@ RENDER_CASES = {
 }
 
 
+def written(rows, columns, fmt, chunk, capsys):
+    """What _write prints for rows, rendered chunk rows at a time."""
+    texts = [
+        cli._render(rows[i : i + chunk], columns, fmt)
+        for i in range(0, len(rows), chunk)
+    ]
+    cli._write(texts, columns, fmt, not rows, None)
+    return capsys.readouterr().out
+
+
+def dict_writer_text(rows, columns):
+    """csv.DictWriter's header and rows, cells as _csv_cell gives them."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: cli._csv_cell(row.get(k)) for k in columns})
+    return buf.getvalue()
+
+
 class TestRender:
     @pytest.mark.parametrize("rows", RENDER_CASES.values(), ids=RENDER_CASES.keys())
-    def test_json_route_equals_the_indent_encoder(self, rows):
-        assert cli._render(rows, [], "json") == json.dumps(rows, indent=2) + "\n"
+    def test_json_route_equals_the_indent_encoder(self, rows, capsys):
+        text = written(rows, [], "json", max(len(rows), 1), capsys)
+        assert text == json.dumps(rows, indent=2) + "\n"
+
+    @pytest.mark.parametrize("rows", RENDER_CASES.values(), ids=RENDER_CASES.keys())
+    def test_csv_route_equals_the_dict_writer(self, rows, capsys):
+        columns = list(dict.fromkeys(k for row in rows for k in row))
+        text = written(rows, columns, "csv", max(len(rows), 1), capsys)
+        assert text == dict_writer_text(rows, columns)
 
     @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 600])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_pieces_join_to_the_whole_text(self, fmt, count):
-        # pv-scan writes its rows in pieces of _SCAN_CHUNK rows; together
-        # they are the text _render gives for all of them.
+    def test_pieces_join_to_the_whole_text(self, fmt, count, capsys, monkeypatch):
+        # pv-scan writes its rows in pieces of _SCAN_CHUNK rows, one _render
+        # call each; together they are the text of all of them at once.
         rows = [
             {"conductor": 2 * i + 3, "family": "legendre", "max_abs": i,
              "argmax": i // 2 + 1, "ratio_log": i / 7, "timestamp": 1_700_000_000,
              **({"ratio_loglog": i / 3} if i % 3 else {})}
             for i in range(count)
         ]
-        pieces = list(cli._render_pieces(rows, cli.SCAN_COLUMNS, fmt))
-        assert "".join(pieces) == cli._render(rows, cli.SCAN_COLUMNS, fmt)
-        # the opening, one piece per chunk, and the closing
-        assert len(pieces) == -(-count // cli._SCAN_CHUNK) + 2
+        calls = []
+        render = cli._render
+        monkeypatch.setattr(cli, "_render", lambda *a: calls.append(a) or render(*a))
+        text = written(rows, cli.SCAN_COLUMNS, fmt, cli._SCAN_CHUNK, capsys)
+        assert len(calls) == -(-count // cli._SCAN_CHUNK)
+        assert text == written(rows, cli.SCAN_COLUMNS, fmt, max(count, 1), capsys)
+        if fmt == "json":
+            assert text == json.dumps(rows, indent=2) + "\n"
+        else:
+            assert text == dict_writer_text(rows, cli.SCAN_COLUMNS)
 
 
 class TestThmA:

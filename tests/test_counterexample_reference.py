@@ -280,14 +280,14 @@ class TestHelper:
         real_format = cli._hit_format
 
         def failing_format(hits, fmt):
-            opening, chunk, count, closing = real_format(hits, fmt)
+            chunk = real_format(hits, fmt)
 
             def chunk_or_fail(i):
                 if i == 5 and os.getpid() != parent:
                     raise RuntimeError("helper fails")
                 return chunk(i)
 
-            return opening, chunk_or_fail, count, closing
+            return chunk_or_fail
 
         monkeypatch.setattr(cli, "_hit_format", failing_format)
         out = tmp_path / "hits.json"
@@ -311,9 +311,7 @@ class TestHelper:
 
         monkeypatch.setattr(os, "kill", kill)
 
-        def failing_write(chunks, args):
-            texts = iter(chunks)
-            next(texts)  # the opening
+        def failing_write(texts, columns, fmt, empty, out):
             next(texts)  # chunk 0; the helper is now writing chunk 1
             raise OSError("no space left on device")
 

@@ -252,14 +252,14 @@ class TestCounterexampleHelpers:
         real_format = cli._hit_format
 
         def failing_format(hits, fmt):
-            opening, chunk, count, closing = real_format(hits, fmt)
+            chunk = real_format(hits, fmt)
 
             def chunk_or_fail(i):
                 if i == failing and os.getpid() != parent:
                     raise RuntimeError("helper fails")
                 return chunk(i)
 
-            return opening, chunk_or_fail, count, closing
+            return chunk_or_fail
 
         monkeypatch.setattr(cli, "_hit_format", failing_format)
         assert main(["counterexample", *self.ARGS]) == 4

@@ -3,15 +3,18 @@
 The file pins the exact bytes the report commands write: burgess-scan,
 means, the lemma-b report (one row flagged below_min_x among them, and
 three at x where the held and streamed halves of the expansion meet inside
-or at the edge of a plan block), lemma-b --trials and nonresidue in JSON
-and CSV, and two thm-a report files (one with a flag). The means and
-lemma-b reports are also pinned at x = 3^10 = 59049 and 59050, and at
-3 * 2^15 + 1 = 98305 and 3 * 2^16 + 1 = 196609, where the odd values held
-for the doublings meet x/3 and the odd blocks meet, for a random f, the
-Liouville function and the Liouville function flipped at 2. Each case runs
-`charscan.cli.main` with --out naming a scratch file and with time.time
-pinned to TIME, so the thm-a timestamp is fixed too; the test replays every
-case and compares the file it writes with the pinned text.
+or at the edge of a plan block), lemma-b --trials, nonresidue, pv-scan
+(280 rows, which cross one 256-row chunk, and none) and counterexample (54
+hits and none) in JSON and CSV, and two thm-a report files (one with a
+flag). The means and lemma-b reports are also pinned at x = 3^10 = 59049
+and 59050, and at 3 * 2^15 + 1 = 98305 and 3 * 2^16 + 1 = 196609, where
+the odd values held for the doublings meet x/3 and the odd blocks meet, for
+a random f, the Liouville function and the Liouville function flipped at 2.
+Each case runs `charscan.cli.main` with --out naming a scratch file and
+with time.time pinned to TIME, so the thm-a and pv-scan timestamps are
+fixed too; the test replays every case and compares the file it writes
+with the pinned text. For pv-scan, --out names the cache, which starts
+empty, and the text is what it writes to stdout.
 Run from the repository root:
 
     PYTHONPATH=src python3 tools/make_cli_golden.py
@@ -47,6 +50,11 @@ COMMANDS = [
         ["--f", "liouville"],
         ["--f", "liouville", "--flip", "2"],
     )
+] + [
+    ["pv-scan", "3", "4000"],
+    ["pv-scan", "2", "2"],
+    ["counterexample", "--x-max", "100", "--flip-budget", "0"],
+    ["counterexample", "--x-max", "100", "--flip-budget", "0", "--threshold", "0"],
 ]
 CASES = [
     argv + ["--format", fmt] for argv in COMMANDS for fmt in ("json", "csv")
@@ -54,14 +62,20 @@ CASES = [
 
 
 def run(argv: list[str], out: Path) -> str:
-    """The text `charscan argv --out out` writes there, at the pinned time."""
-    quiet = io.StringIO()
+    """The text `charscan argv --out out` writes there, at the pinned time.
+
+    For pv-scan, out is its cache, removed first, and the text is stdout's.
+    """
+    out.unlink(missing_ok=True)
+    stdout = io.StringIO()
     with mock.patch("time.time", return_value=TIME), contextlib.redirect_stdout(
-        quiet
-    ), contextlib.redirect_stderr(quiet):
+        stdout
+    ), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv + ["--out", str(out)])
     if code != 0:
         raise RuntimeError(f"{argv} exited {code}")
+    if argv[0] == "pv-scan":
+        return stdout.getvalue()
     return out.read_bytes().decode("utf-8")
 
 
