@@ -2,7 +2,8 @@
 
 Five layers: exact integer kernels (arith), real characters with odd
 squarefree modulus (characters), partial sums and mean functionals (sums),
-the experiment drivers (experiments), and a caching CLI (cli).
+the experiment drivers (experiments), and a caching CLI (cli); workers
+forks the helper processes that sums, experiments and cli share work with.
 """
 
 from .arith import (

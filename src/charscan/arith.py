@@ -68,6 +68,10 @@ def is_prime(n: int) -> bool:
 def sieve_primes(limit: int) -> np.ndarray:
     """All primes up to and including limit, strictly increasing.
 
+    The sieve marks the odd n only, mask[i] standing for n = 2 i + 1, so it
+    takes (limit + 1) // 2 bytes; mask[0], which stands for 1, stands for 2
+    instead.
+
     Args:
         limit: Inclusive upper bound; 0 and 1 give an empty array.
 
@@ -78,12 +82,15 @@ def sieve_primes(limit: int) -> np.ndarray:
         raise ValueError("limit must be nonnegative")
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64, copy=False)
+    mask = np.ones((limit + 1) // 2, dtype=bool)
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if mask[p >> 1]:
+            mask[p * p >> 1 :: p] = False  # odd multiples lie 2 p apart
+    primes = np.flatnonzero(mask).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def build_spf(limit: int) -> np.ndarray:
@@ -141,33 +148,47 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def _expansion_plan(limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+class _ExpansionPlan:
     """Index arithmetic of the smallest-factor expansion over the odd n <= limit.
 
-    An odd n = 2 i + 1 sits at position i, so o = 1 is position 0. Yields
-    one (index, cofactor) pair of intp arrays per block of odd o with
+    An odd n = 2 i + 1 sits at position i, so o = 1 is position 0. Iterating
+    yields one (index, cofactor) pair of intp arrays per block of odd o with
     lo <= o < hi, in order from o = 3, where hi <= 3 lo and a block holds at
-    most _PLAN_BLOCK odd values. index is the position of spf(o) and
-    cofactor that of o // spf(o); one pair serves a buffer holding only the
-    odd values and the strided view v[1::2] of a buffer indexed by n. They
-    are intp because numpy gathers with any other index type several times
-    slower. Each block sieves its own spf from the odd primes
-    p <= sqrt(hi - 1), so no length-limit table is held: every odd multiple
-    of p from max(p*p, lo) on gets p, in decreasing p so that the least
-    prime factor is written last. index starts as o itself, so the entries
-    the sieve never writes are the primes, which are their own spf. The
-    blocks are computed lazily, so one expansion never holds them all, and
-    a suspended plan holds none; tuple() keeps a plan for reuse across
-    functions. Even n are not planned: spf(n) = 2, and _apply_plan fills
-    them by doubling.
+    most _PLAN_BLOCK odd values; upto(bound) yields those of the odd
+    o <= bound alone, the last block cut at bound. index is the position of
+    spf(o) and cofactor that of o // spf(o); one pair serves a buffer holding
+    only the odd values and the strided view v[1::2] of a buffer indexed by
+    n. They are intp because numpy gathers with any other index type several
+    times slower. Each block sieves its own spf from the odd primes
+    p <= sqrt(hi - 1), which the plan sieves once, so no length-limit table
+    is held: every odd multiple of p from max(p*p, lo) on gets p, in
+    decreasing p so that the least prime factor is written last. index
+    starts as o itself, so the entries the sieve never writes are the primes,
+    which are their own spf. The blocks are computed lazily, so one
+    expansion never holds them all, and a suspended iteration holds none;
+    tuple() keeps a plan's blocks for reuse across functions. Even n are not
+    planned: spf(n) = 2, and _apply_plan fills them by doubling.
     """
-    primes = sieve_primes(math.isqrt(limit)).tolist()[1:]
-    lo = 3
-    while lo <= limit:
-        hi = min(3 * lo, lo + 2 * _PLAN_BLOCK, limit + 1)
-        # yielded straight from the call, so a suspended plan holds no block
-        yield _plan_block(lo, hi, primes)
-        lo += 2 * -(-(hi - lo) // 2)  # the next odd o
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.primes = sieve_primes(math.isqrt(limit)).tolist()[1:]
+
+    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        return self.upto(self.limit)
+
+    def upto(self, bound: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        lo = 3
+        while lo <= bound:
+            hi = min(3 * lo, lo + 2 * _PLAN_BLOCK, bound + 1)
+            # yielded straight from the call, so a suspended plan holds no block
+            yield _plan_block(lo, hi, self.primes)
+            lo += 2 * -(-(hi - lo) // 2)  # the next odd o
+
+
+def _expansion_plan(limit: int) -> _ExpansionPlan:
+    """The expansion plan of the odd n <= limit; see _ExpansionPlan."""
+    return _ExpansionPlan(limit)
 
 
 def _plan_block(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -185,45 +206,43 @@ def _plan_block(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, np.nda
     return index, cofactor
 
 
-def _expand(
-    plan: Iterable[tuple[np.ndarray, np.ndarray]], w: np.ndarray, spill: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Expand f over the odd n in place in w, and past the end of w into spill.
+def _expand(plan: Iterable[tuple[np.ndarray, np.ndarray]], w: np.ndarray) -> None:
+    """Expand f over the odd n in place in w, over the blocks of plan.
 
     w holds f at the odd n by position, w[i] = f(2 i + 1), with f(p) at its
-    odd primes on entry; its entries at odd composites are ignored. Sets
-    w[0] = f(1) = 1, then applies f(o) = f(spf(o)) * f(o // spf(o)) block by
-    block. In a block lo <= o < hi <= 3 lo, an odd composite o has
-    spf(o) <= sqrt(o) < lo and cofactor o // spf(o) <= o / 3 < lo, so both
-    factors lie in earlier blocks and are already final; a prime o reads its
-    own entry f(p) and multiplies it by f(1) = 1, which keeps its bits. Each
-    block is one gather and one in-place product, the same two operands as
-    the direct recurrence.
-
-    The positions below len(w) land in w. The rest of a block, from
-    position first on, lands in spill, which must be at least as long, and
-    (first, view of spill) is yielded; the view is overwritten by the next
-    block. Both factors of an odd composite o <= limit are at most
-    limit // 3, so with w holding every odd o <= limit // 3 every composite
-    past w reads them from w. A prime past w has no entry there: it reads
-    w[-1] instead, and the caller writes f(p) into the view before reading
-    it.
+    odd primes on entry; its entries at odd composites are ignored. The
+    blocks run from o = 3 on and must fit in w. Sets w[0] = f(1) = 1, then
+    applies f(o) = f(spf(o)) * f(o // spf(o)) block by block. In a block
+    lo <= o < hi <= 3 lo, an odd composite o has spf(o) <= sqrt(o) < lo and
+    cofactor o // spf(o) <= o / 3 < lo, so both factors lie in earlier
+    blocks and are already final; a prime o reads its own entry f(p) and
+    multiplies it by f(1) = 1, which keeps its bits. Each block is one
+    gather and one in-place product, the same two operands as the direct
+    recurrence.
     """
     w[0] = 1
     lo = 1
     for index, cofactor in plan:
         hi = lo + len(index)
-        if hi <= len(w):
-            _gather(w, index, cofactor, w[lo:hi])
-        else:
-            cut = max(len(w) - lo, 0)  # the block's first cut values fit in w
-            _gather(w, index[:cut], cofactor[:cut], w[lo : lo + cut])
-            # a prime past w reads w[-1] in place of its own entry
-            clipped = np.minimum(index[cut:], len(w) - 1)
-            _gather(w, clipped, cofactor[cut:], spill[: hi - lo - cut])
-            del index, cofactor, clipped  # not held while the caller reads the block
-            yield lo + cut, spill[: hi - lo - cut]
+        _gather(w, index, cofactor, w[lo:hi])
         lo = hi
+
+
+def _expand_past(plan: _ExpansionPlan, w: np.ndarray, first: int, out: np.ndarray) -> None:
+    """f at the odd n from position first on, past the end of w, into out.
+
+    w holds f expanded at every odd o <= plan.limit // 3, and first >= len(w).
+    out receives f at the len(out) <= _PLAN_BLOCK odd o from o = 2 first + 1
+    on, each at most plan.limit. Both factors of an odd composite o <= limit
+    are at most limit // 3, so they are read from w, by the gather and the
+    product of _expand, from one block of the plan's index arithmetic. A
+    prime has no entry in w: it reads w[-1] instead, and the caller writes
+    f(p) into out before reading it. The block's arrays are freed on return.
+    """
+    lo = 2 * first + 1
+    index, cofactor = _plan_block(lo, lo + 2 * len(out) - 1, plan.primes)
+    np.minimum(index, len(w) - 1, out=index)  # a prime reads w[-1]
+    _gather(w, index, cofactor, out)
 
 
 def _gather(w: np.ndarray, index: np.ndarray, cofactor: np.ndarray, out: np.ndarray) -> None:
@@ -243,13 +262,12 @@ def _apply_plan(
 
     v[p] = f(p) at the primes on entry, v[n] = f(n) after, v[0] = 0. The
     odd n are expanded in the strided view v[1::2], which holds every odd n
-    the plan covers, so _expand spills nothing. An even n has spf(n) = 2, so
+    the plan covers. An even n has spf(n) = 2, so
     f(n) = f(2) * f(n / 2): the even n in [k, 2 k) are filled in one strided
     pass from the final values in [k / 2, k), for k = 2, 4, 8, ..., about
     log2 len(v) passes, each the product of the direct recurrence.
     """
-    for _ in _expand(plan, v[1::2], v[:0]):
-        pass
+    _expand(plan, v[1::2])
     v[0] = 0
     two = v[2]
     lo = 1

@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 2 malformed arguments, 3 violated precondition or
 hypothesis, 4 I/O failure (including a held cache lock or a failed worker
-process), 130 interrupted (SIGINT). The conductor scan keeps an append-only
-JSON-lines cache, one record per line, guarded by a lock file against
-concurrent runs; reruns skip cached conductors unless --force, which
+process), 130 interrupted (SIGINT), 141 the reader closed the output early
+(128 + SIGPIPE, what a shell reports for `yes | head`; the rest of the
+output is dropped and nothing is printed). The conductor scan keeps an
+append-only JSON-lines cache, one record per line, guarded by a lock file
+against concurrent runs; reruns skip cached conductors unless --force, which
 recomputes and rewrites the file atomically. Rows are emitted as JSON or
 CSV; a report's row is its dataclass fields in declaration order, and
 pv-scan's columns are SCAN_COLUMNS. Every command's rows are written by
@@ -12,17 +14,26 @@ _write, inside the frame (opening, separator, closing) that _frame alone
 defines, from the texts of runs of rows: _render's, or for counterexample
 one %-format per row straight from the hit columns. Summaries go to stderr.
 
-Work that splits into chunks runs on worker processes through _forked_map:
-chunk i runs on process i mod workers, this process being process 0, and
-the results come back in order through pipes, so the output is that of the
-one-process route. pv-scan runs its kernel on chunks of 256 conductors on
---workers processes (default: every CPU the process may use), and appends
-each chunk's rows to the cache as they arrive, so an interrupted scan loses
-at most one chunk; its rows are rendered and written out 256 at a time too.
-Counterexample rows are formatted in chunks of 2^12 rows, small enough that
-the text in flight stays well below the hits' own columns, on every CPU the
-process may use. For pv-scan, --out names the cache file, so its rows always
-go to stdout; thm-a instead writes its report file and prints the chain audit.
+Work that splits into chunks runs on worker processes through
+workers._forked_map: chunk i runs on process i mod workers, this process
+being process 0, and the results come back in order through pipes, so the
+output is that of the one-process route. pv-scan runs its kernel on chunks
+of 256 conductors on --workers processes (default: every CPU the process
+may use), and appends each chunk's rows to the cache as they arrive, so an
+interrupted scan loses at most one chunk; its rows are rendered and written
+out 256 at a time too. Counterexample rows are formatted in chunks of 2^12
+rows, small enough that the text in flight stays well below the hits' own
+columns, on every CPU the process may use. means and lemma-b also compute
+on every CPU the process may use, with no flag: estimate_delta (--trials)
+cuts its candidates into one range per process, and the streamed sums of
+means and of the lemma-b report deal their blocks to the processes, each
+returning exact totals, so every number is the one-process route's. A
+process allowed one CPU (an affinity such as `taskset -c 0`), or a platform
+without os.fork, takes the one-process route in every command. A helper's
+ValueError exits 3, as it would in this process; any other helper failure
+exits 4, and an interrupt kills and reaps every helper. For pv-scan, --out
+names the cache file, so its rows always go to stdout; thm-a instead writes
+its report file and prints the chain audit.
 
 Each subcommand accepts only the flags it reads. All take --out and --limit
 (the largest modulus or x a run may tabulate; beyond it the run exits 3
@@ -41,14 +52,11 @@ import io
 import json
 import math
 import os
-import pickle
 import signal
 import sys
 import time
-import traceback
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -73,6 +81,9 @@ from .sums import (
     mean,
     pv_ratios,
 )
+# The worker primitives live in workers; _received and _serve stay bound here
+# beside the two the commands call.
+from .workers import _allowed_cpus, _forked_map, _received, _serve
 
 __all__ = ["entry", "main"]
 
@@ -346,104 +357,6 @@ def _hit_format(hits: CounterexampleHits, fmt: str) -> Callable[[int], str]:
         return sep.join(map(template.__mod__, rows))
 
     return chunk
-
-
-def _allowed_cpus() -> int:
-    """The number of CPUs this process may run on, or 1 where it cannot tell."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _received(pipe: io.BufferedReader):
-    """The next length-prefixed result a forked helper wrote to pipe."""
-    head = pipe.read(8)
-    if len(head) == 8:
-        size = int.from_bytes(head, "little")
-        data = pipe.read(size)
-        if len(data) == size:
-            return pickle.loads(data)
-    raise OSError("forked helper ended before its last chunk")
-
-
-def _serve(
-    chunk: Callable[[int], object],
-    indices: range,
-    pipes: list[io.BufferedReader],
-    write_fd: int,
-) -> NoReturn:
-    """A forked helper's life: write chunk(i) for each index to write_fd, exit.
-
-    It closes the read ends it inherited, writes each result pickled and
-    length-prefixed, flushing after each, and leaves through os._exit, so
-    it never flushes an inherited buffer or runs exit hooks. os._exit skips
-    the report of an uncaught exception, so a helper that fails writes its
-    traceback to fd 2 itself. It does so while its pipe is still open: the
-    command kills every helper once a pipe ends early, and os._exit is what
-    closes the pipe.
-    """
-    status = 1
-    try:
-        for pipe in pipes:
-            pipe.close()
-        out = open(write_fd, "wb")
-        for i in indices:
-            data = pickle.dumps(chunk(i), pickle.HIGHEST_PROTOCOL)
-            out.write(len(data).to_bytes(8, "little"))
-            out.write(data)
-            out.flush()
-        status = 0
-    except Exception:
-        with contextlib.suppress(OSError), open(2, "w", closefd=False) as err:
-            traceback.print_exc(file=err)
-    finally:
-        os._exit(status)
-
-
-@contextlib.contextmanager
-def _forked_map(
-    chunk: Callable[[int], object], count: int, workers: int
-) -> Iterator[Iterator]:
-    """Yield an iterator over chunk(0), ..., chunk(count - 1), in order.
-
-    With workers > 1 (capped at count) and os.fork, chunk i runs on process
-    i mod workers: this process is process 0, and each other is a forked
-    helper that writes its results, in order, to a pipe of its own that this
-    process reads between its own chunks. A helper blocks once its pipe is
-    full, so it runs at most a pipe's worth of results ahead. On leaving,
-    every helper is reaped, and if the caller failed, killed first; a helper
-    that fails ends its pipe early, which fails the read as an OSError.
-    """
-    workers = min(workers, count) if hasattr(os, "fork") else 1
-    if workers < 2:
-        yield map(chunk, range(count))
-        return
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pids: list[int] = []
-    pipes: list[io.BufferedReader] = []
-    try:
-        for k in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            pipes.append(open(read_fd, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _serve(chunk, range(k, count, workers), pipes, write_fd)
-            finally:
-                os.close(write_fd)
-            pids.append(pid)
-        yield (
-            chunk(i) if i % workers == 0 else _received(pipes[i % workers - 1])
-            for i in range(count)
-        )
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
 
 
 def _make_function(
@@ -841,10 +754,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so a closed reader shows here, not at exit
+        return code
     except (ValueError, SearchExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader went away, as `charscan ... | head` does: stop quietly,
+        # with the status a shell gives a process that SIGPIPE ended, and
+        # point fd 1 at /dev/null, so the flush at exit raises nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return 128 + signal.SIGPIPE
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4

@@ -58,6 +58,7 @@ from .sums import (
     partial_sum,
     restricted_log_sum,
 )
+from .workers import _forked_map, _processes
 
 __all__ = [
     "BurgessPoint",
@@ -314,8 +315,10 @@ def lemma_b_report(
     are summed block by block, and every block with its doubling chain
     f(2^k o), into the exact sums of all three statistics in one pass
     (sums._streamed_sums), and mean, log_mean and conv_mean read them from
-    that pass. It costs 4/3 bytes per n plus one block, where an array of
-    f(n) costs 8. ht_envelope = exp(-kappa u) is recorded alongside the
+    that pass. The blocks are shared out to every CPU the process may use,
+    and the exact totals added, so the report is bit for bit the one-process
+    route's. It costs 4/3 bytes per n plus one block per process, where an
+    array of f(n) costs 8. ht_envelope = exp(-kappa u) is recorded alongside the
     empirical constant |mean| * exp(kappa u); neither is asserted, since the
     envelope only holds up to an absolute constant. Below min_x the report is
     flagged as outside the regime where a threshold x0 is intended to apply;
@@ -355,20 +358,29 @@ class DeltaEstimate:
 def estimate_delta(c: float, x: float, trials: int, seed: int) -> DeltaEstimate:
     """Sample completely multiplicative f and track the worst qualifying log-mean.
 
-    Candidates are `trials` seeded random functions (prime values uniform on
-    [-1, 1]) plus deterministic extremes: the constant 1, the all-flipped
-    function, and single flips at the first few primes. Functions with
-    |mean(f.values_upto(x), x)| >= c qualify; the smallest log-mean among
-    them is returned.
-    Deterministic in seed. If nothing qualifies, the estimate fields are None
-    and qualifying is 0.
+    Candidates are deterministic extremes, the constant 1, the all-flipped
+    function and single flips at the first few primes, then `trials` seeded
+    random functions (prime values uniform on [-1, 1], random_i the i-th
+    draw of default_rng(seed)). Functions with |mean(f.values_upto(x), x)|
+    >= c qualify; the smallest log-mean among them is returned, the first
+    such candidate on a tie. Deterministic in seed. If nothing qualifies,
+    the estimate fields are None and qualifying is 0.
 
     Every candidate is scattered onto the primes of one buffer indexed by n
     and expanded there in place by one shared plan of the odd n, the even n
-    by doubling. The threshold is decided
-    from the float sum with a rigorous error margin; only a mean within the
-    margin of c, and only a qualifying candidate's log-mean, is summed
-    exactly.
+    by doubling. The threshold is decided from the float sum with a rigorous
+    error margin; only a mean within the margin of c, and only a qualifying
+    candidate's log-mean, is summed exactly.
+
+    The candidates are cut into one contiguous range per process this one
+    may use (workers._processes), the others forked helpers sharing the
+    plan. A range's random candidates come from default_rng(seed) advanced
+    past the draws of the earlier ones: PCG64 takes one 64-bit draw per
+    uniform double, so they are the draws the whole sequence gives. Each
+    range returns its best (log-mean, label) and its count of qualifying
+    candidates, and the ranges are merged in order, a later best replacing
+    an earlier one only when strictly smaller, so the result does not depend
+    on the number of processes.
     """
     if not 0 < c <= 1:
         raise ValueError("c must lie in (0, 1]")
@@ -377,38 +389,57 @@ def estimate_delta(c: float, x: float, trials: int, seed: int) -> DeltaEstimate:
         raise ValueError("x must be at least 2")
     if trials < 1:
         raise ValueError("trials must be positive")
-    rng = np.random.default_rng(seed)
-    # One plan, one buffer and one scratch array serve every candidate; each
-    # candidate is its array of values on primes, aligned with primes.
+    # One plan serves every candidate; each candidate is its array of
+    # values on primes, aligned with primes.
     primes = sieve_primes(m)
     plan = tuple(_expansion_plan(m))
-    v = np.empty(m + 1)
-    vals = v[1:]
-    scratch = np.empty(m)
     size = len(primes)
+    # (label, f at the primes, the index of the one prime it is -1 at)
+    extremes = [("ones", 1.0, None), ("all_primes_flipped", -1.0, None)]
+    extremes += [
+        (f"ones_flipped_at_{p}", 1.0, i)
+        for i, p in enumerate((2, 3, 5, 7))  # primes[i] == p
+        if p <= m
+    ]
+    count = len(extremes) + trials
+    processes = _processes(count)
 
-    # Built one at a time, so only the candidate being evaluated is held.
-    def candidates() -> Iterator[tuple[str, np.ndarray]]:
-        yield "ones", np.ones(size)
-        yield "all_primes_flipped", np.full(size, -1.0)
-        for i, p in enumerate((2, 3, 5, 7)):  # primes[i] == p
-            if p <= m:
-                flipped = np.ones(size)
-                flipped[i] = -1.0
-                yield f"ones_flipped_at_{p}", flipped
-        for i in range(trials):
+    # Candidates lo <= i < hi, built one at a time, so only the candidate
+    # being evaluated is held.
+    def candidates(lo: int, hi: int) -> Iterator[tuple[str, np.ndarray]]:
+        for label, value, flipped in extremes[lo:hi]:
+            values = np.full(size, value)
+            if flipped is not None:
+                values[flipped] = -1.0
+            yield label, values
+        first = max(lo - len(extremes), 0)
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance(first * size)
+        for i in range(first, hi - len(extremes)):
             yield f"random_{i}", rng.uniform(-1.0, 1.0, size=size)
 
-    best: tuple[float, str] | None = None
-    qualifying = 0
-    for count, (label, values) in enumerate(candidates(), 1):
-        v[primes] = values
-        _apply_plan(plan, v)
-        if _mean_reaches(vals, x, c, scratch):
-            qualifying += 1
-            value = log_mean(vals, x)
-            if best is None or value < best[0]:
-                best = (value, label)
+    def best_of(p: int) -> tuple[tuple[float, str] | None, int]:
+        # One buffer and one scratch array serve the range's candidates.
+        v = np.empty(m + 1)
+        vals = v[1:]
+        scratch = np.empty(m)
+        best, qualifying = None, 0
+        for label, values in candidates(p * count // processes, (p + 1) * count // processes):
+            v[primes] = values
+            _apply_plan(plan, v)
+            if _mean_reaches(vals, x, c, scratch):
+                qualifying += 1
+                value = log_mean(vals, x)
+                if best is None or value < best[0]:
+                    best = (value, label)
+        return best, qualifying
+
+    best, qualifying = None, 0
+    with _forked_map(best_of, processes, processes) as ranges:
+        for range_best, range_qualifying in ranges:
+            qualifying += range_qualifying
+            if range_best is not None and (best is None or range_best[0] < best[0]):
+                best = range_best
     delta_hat, worst_f = best if best is not None else (None, None)
     return DeltaEstimate(delta_hat, worst_f, qualifying, count)
 

@@ -17,8 +17,9 @@ statistics of one (f, x) from one expansion at 8 bytes per n. They also
 take the result of _streamed_sums(f, x), which holds f only at the odd
 n <= x/3 and sums the other odd n block by block, each block with its
 doubling chain f(2^k n), into the statistics asked for in one pass, at
-4/3 bytes per n plus one block; lemma_b_report reads all three so, and the
-means command mean and log_mean.
+4/3 bytes per n plus one block, the blocks shared out to every CPU the
+process may use; lemma_b_report reads all three so, and the means command
+mean and log_mean.
 """
 
 from __future__ import annotations
@@ -30,7 +31,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import _PLAN_BLOCK, _apply_plan, _expand, _expansion_plan, is_prime, sieve_primes
+from .arith import (
+    _PLAN_BLOCK,
+    _apply_plan,
+    _expand,
+    _expand_past,
+    _expansion_plan,
+    is_prime,
+    sieve_primes,
+)
 from . import characters
 from .characters import (
     _U32_ROOT,
@@ -41,6 +50,7 @@ from .characters import (
     evaluate,
     legendre_character,
 )
+from .workers import _forked_map, _processes
 
 __all__ = [
     "CONSTANTS",
@@ -552,47 +562,77 @@ def _streamed_sums(
 
     m = floor(x) >= 2. f at the odd n <= m // 3 is expanded in place in one
     buffer w, w[i] = f(2 i + 1), as values_upto expands the odd n of its
-    array. The one expansion plan of m then carries on past w into one block
-    buffer of at most _PLAN_BLOCK values: both factors of an odd composite
-    n <= m are at most m // 3, so they are read from w, and the primes of
-    the block take f(p) straight from f.values, which equals the
-    f(p) * f(1) of the full expansion. Every even n is o 2^k for an odd o,
-    with f(o 2^k) = f(2) * f(o 2^(k-1)), the direct recurrence's product.
-    So each block of odd o, from o = first on, is summed with its doubling
-    chain: the o with o 2^k <= m are a prefix of the block, whose n form
-    the progression from first 2^k in steps of 2^(k+1), and the prefix is
-    multiplied in place by f(2) once per level. A block is summed into every
-    total at once and then overwritten; w is summed last, when no
-    block reads it any more. The sums are exact, so the totals equal those
-    of the full array bit for bit, at 8/6 bytes per n plus one block.
+    array, by the one expansion plan of m. The other odd n are cut into
+    pieces of at most _PLAN_BLOCK values, each expanded on its own from w
+    (arith._expand_past): both factors of an odd composite n <= m are at
+    most m // 3, and the primes of the piece take f(p) straight from
+    f.values, which equals the f(p) * f(1) of the full expansion. Every even
+    n is o 2^k for an odd o, with f(o 2^k) = f(2) * f(o 2^(k-1)), the direct
+    recurrence's product. So each piece of odd o, from o = first on, and
+    each block of w is summed with its doubling chain: the o with o 2^k <= m
+    are a prefix of it, whose n form the progression from first 2^k in
+    steps of 2^(k+1), and the prefix is multiplied by f(2) once per level
+    in a buffer of one block, so w is only read. A block is summed into
+    every total at once and then overwritten.
+
+    After w is expanded, the pieces past w, then the blocks of w, are dealt
+    to every process this one may use (workers._processes), each to the
+    process with the least estimated work so far; the others are forked
+    helpers that read w as this process holds it. Each process sums its own
+    in order and returns its exact integer totals, which are added here.
+    The sums are exact, so the totals equal those of the full array bit for
+    bit, for any number of processes, at 8/6 bytes per n plus one block per
+    process.
     """
     m = _floor_in_domain(f, x, 2)
     held = max((m // 3 + 1) // 2, 1)  # the odd n <= m // 3, and n = 1 at m = 2
     k = np.searchsorted(f.primes, 2 * held, side="right")  # 2 and the primes in w
     w = np.empty(held)
     w[f.primes[1:k] >> 1] = f.values[1:k]
+    plan = _expansion_plan(m)
+    _expand(plan.upto(2 * held - 1), w)
     two = f.values[0]
-    sums = {t: _ExactAccumulator() for t in terms}
+    odd = (m + 1) // 2
+    pieces = [(lo, min(lo + _PLAN_BLOCK, odd)) for lo in range(held, odd, _PLAN_BLOCK)]
+    pieces += _block_bounds(held)
+    processes = _processes(len(pieces))
+    # Each piece goes, in order, to the process with the least work so far:
+    # its terms over every level of the doubling chain, plus half its
+    # length for a piece expanded past w.
+    loads, owners = [0] * processes, []
+    for lo, hi in pieces:
+        work, bound = (hi - lo) // 2 if lo >= held else 0, m
+        while bound > 2 * lo:
+            work += min(hi, (bound + 1) // 2) - lo
+            bound //= 2
+        owners.append(loads.index(min(loads)))
+        loads[owners[-1]] += work
 
-    def add(block: np.ndarray, first: int) -> None:
-        # block holds f(o) for the odd o = first, first + 2, ...
-        scale = 1
-        while len(block):
-            for t, acc in sums.items():
-                acc.add(t(block, first * scale, 2 * scale, m))
-            scale *= 2
-            block = block[: max((m // scale - first) // 2 + 1, 0)]
-            block *= two
+    def share(p: int) -> list[int]:
+        # the exact totals of the pieces of process p
+        mine = [piece for piece, owner in zip(pieces, owners) if owner == p]
+        buffer = np.empty(max(hi - lo for lo, hi in mine))
+        sums = [_ExactAccumulator() for _ in terms]
+        for lo, hi in mine:
+            if lo < held:
+                block = w[lo:hi]
+            else:
+                block = buffer[: hi - lo]
+                _expand_past(plan, w, lo, block)
+                a, b = np.searchsorted(f.primes, (2 * lo, 2 * hi), side="right")
+                block[(f.primes[a:b] >> 1) - lo] = f.values[a:b]
+            first, scale = 2 * lo + 1, 1  # block holds f(o) for o = first, first + 2, ...
+            while len(block):
+                for t, acc in zip(terms, sums):
+                    acc.add(t(block, first * scale, 2 * scale, m))
+                scale *= 2
+                block = block[: max((m // scale - first) // 2 + 1, 0)]
+                block = np.multiply(block, two, out=buffer[: len(block)])
+        return [acc.total for acc in sums]
 
-    spill = np.empty(min(_PLAN_BLOCK, (m + 1) // 2 - held))
-    for first, block in _expand(_expansion_plan(m), w, spill):
-        j = np.searchsorted(f.primes, 2 * (first + len(block)))
-        block[(f.primes[k:j] >> 1) - first] = f.values[k:j]
-        k = j
-        add(block, 2 * first + 1)
-    for lo, hi in _block_bounds(held):
-        add(w[lo:hi], 2 * lo + 1)
-    return _StreamedSums(m, {t: acc.value() for t, acc in sums.items()})
+    with _forked_map(share, processes, processes) as shares:
+        totals = [sum(column) for column in zip(*shares)]
+    return _StreamedSums(m, {t: total / _SUM_SCALE for t, total in zip(terms, totals)})
 
 
 def _total(values: np.ndarray | _StreamedSums, terms: _Terms) -> float:

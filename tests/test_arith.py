@@ -10,6 +10,7 @@ from charscan.arith import (
     SearchExhaustedError,
     _apply_plan,
     _expand,
+    _expand_past,
     _expansion_plan,
     build_spf,
     is_prime,
@@ -107,6 +108,18 @@ def rank_expand(prime_vals, table, limit):
     return rank_apply(rank_plan(table, limit, primes), prime_vals[primes], out)
 
 
+def full_mask_sieve(limit):
+    """The primes <= limit from a bool mask over every n <= limit, as int64."""
+    if limit < 2:
+        return np.zeros(0, dtype=np.int64)
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.flatnonzero(mask).astype(np.int64, copy=False)
+
+
 class TestSievePrimes:
     def test_examples(self):
         assert list(sieve_primes(10)) == [2, 3, 5, 7]
@@ -125,6 +138,22 @@ class TestSievePrimes:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             sieve_primes(-1)
+
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            range(301),
+            [p * p + d for p in trial_primes(100) for d in (-2, -1, 0, 1, 2)],
+            [10**6 + 7],
+        ],
+        ids=["0-300", "prime-squares", "1e6+7"],
+    )
+    def test_odd_sieve_equals_the_full_mask_sieve(self, limits):
+        # The sieve marks only the odd n; the reference marks every n <= limit.
+        for limit in limits:
+            got, want = sieve_primes(limit), full_mask_sieve(limit)
+            assert got.dtype == want.dtype == np.int64
+            assert got.tobytes() == want.tobytes(), limit
 
 
 class TestBuildSpf:
@@ -353,26 +382,30 @@ class TestExpandMultiplicative:
 
     @pytest.mark.parametrize("limit", EXPANSION_LIMITS + ODD_EDGE_LIMITS)
     def test_spill_past_the_held_odd_third_matches_the_full_expansion(self, limit):
-        # w holds f at the odd n <= limit // 3, by position. The rest of the
-        # plan lands in spill one block at a time, and with its primes
-        # written it is the tail of the odd values of the whole expansion,
-        # bit for bit.
+        # w holds f at the odd n <= limit // 3, by position, expanded by the
+        # plan's blocks up to there. The rest is expanded from w one piece
+        # at a time, at any cut, and with its primes written it is the tail
+        # of the odd values of the whole expansion, bit for bit.
         prime_vals = prime_values(limit, limit)
         want = rounds_expand(prime_vals, build_spf(max(limit, 2)), limit)[1::2]
         held = max((limit // 3 + 1) // 2, 1)
         primes = sieve_primes(limit)
+        plan = _expansion_plan(limit)
         w = prime_vals[1 : 2 * held : 2].copy()
-        spill = np.full(min(arith._PLAN_BLOCK, len(want) - held), np.nan)
-        tail = []
-        for first, block in _expand(_expansion_plan(limit), w, spill):
-            assert first == held + sum(map(len, tail))
-            assert np.shares_memory(block, spill)
-            odd = 2 * np.arange(first, first + len(block)) + 1
-            inside = np.intersect1d(primes, odd)
-            block[(inside - 1) // 2 - first] = prime_vals[inside]
-            tail.append(block.copy())
+        _expand(plan.upto(2 * held - 1), w)
         assert w.tobytes() == want[:held].tobytes()
-        assert np.concatenate([w] + tail).tobytes() == want.tobytes()
+        # one value a piece at small limits, five pieces, and the blocks
+        spilled = len(want) - held
+        for size in {1 if limit < 1000 else spilled, spilled // 5 + 1, arith._PLAN_BLOCK}:
+            tail = []
+            for first in range(held, len(want), size):
+                block = np.full(min(size, len(want) - first), np.nan)
+                _expand_past(plan, w, first, block)
+                odd = 2 * np.arange(first, first + len(block)) + 1
+                inside = np.intersect1d(primes, odd)
+                block[(inside - 1) // 2 - first] = prime_vals[inside]
+                tail.append(block)
+            assert np.concatenate([w] + tail).tobytes() == want.tobytes(), size
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 64, 1000])
     def test_block_size_does_not_change_bits(self, block, monkeypatch):

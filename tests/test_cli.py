@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from charscan import cli, experiments, sums
 from charscan.characters import legendre_character
 from charscan.cli import _validate, build_parser, main
 from charscan.sums import max_partial_sum, pv_ratios
+from test_counterexample_reference import assert_no_child_left, count_forks, set_cpus
 
 EXPECTED_CONDUCTORS = [3, 7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83]
 
@@ -801,3 +803,65 @@ class TestFlagMatrix:
         text = " ".join(capsys.readouterr().out.split())
         (line,) = [part for part in text.split(" --") if part.startswith("out OUT")]
         assert line.startswith("out OUT " + says), line
+
+
+class ClosedReader(io.TextIOBase):
+    """A stdout whose reader has gone: every write fails with EPIPE."""
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+class TestClosedReader:
+    """A reader that closes stdout early, as `| head` does, ends the command
+    quietly with 141 (128 + SIGPIPE); no row command reports an I/O error."""
+
+    ROWS = {
+        "pv-scan": ["pv-scan", "3", "2000"],
+        "burgess-scan": ["burgess-scan", "10007"],
+        "means": ["means", "1000"],
+        "lemma-b": ["lemma-b", "1000"],
+        "lemma-b-trials": ["lemma-b", "1000", "--trials", "5", "--c", "0.5"],
+        "nonresidue": ["nonresidue", "2000"],
+        "counterexample": ["counterexample", "--x-max", "200"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ROWS))
+    def test_exits_141_quietly_and_reaps(self, command, tmp_path, capfd, monkeypatch):
+        set_cpus(monkeypatch, 3)
+        monkeypatch.setattr(cli, "_HIT_CHUNK", 7)  # so both commands fork
+        monkeypatch.setattr(cli, "_SCAN_CHUNK", 7)
+        forks = count_forks(monkeypatch)
+        argv = self.ROWS[command]
+        if command == "pv-scan":
+            argv = [*argv, "--out", str(tmp_path / "cache.jsonl")]
+        monkeypatch.setattr(sys, "stdout", ClosedReader())
+        assert main(argv) == 141
+        assert capfd.readouterr().err == ""
+        if command in ("pv-scan", "counterexample"):
+            assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_real_pipe_closed_after_one_line(self):
+        # The reader takes one line and closes the pipe, as `head -1` does.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "charscan", "nonresidue", "20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
+
+    def test_other_write_failures_still_exit_4(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "rows.json"
+        assert main(["means", "1000", "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("io error: ")

@@ -39,6 +39,7 @@ from charscan.sums import (
     partial_sum,
 )
 from test_arith import rounds_expand
+from test_counterexample_reference import assert_no_child_left, count_forks, set_cpus
 
 CMF = CompletelyMultiplicativeFunction
 
@@ -445,7 +446,9 @@ class TestEstimateDeltaReference:
     @pytest.mark.parametrize("x,seed", [(100, 3), (1000, 7), (20000, 1), (300.5, 11)])
     def test_thresholds_at_a_candidates_exact_mean(self, x, seed, monkeypatch):
         # c equal to a candidate's exact |mean|, or one ulp either side, lies
-        # inside every margin: the exact sum has to decide.
+        # inside every margin: the exact sum has to decide. The calls are
+        # counted in this process, so one CPU keeps every candidate here.
+        set_cpus(monkeypatch, 1)
         trials = 12
         means = [abs(mean(f.values_upto(x), x)) for _, f in reference_candidates(x, trials, seed)]
         means = [m for m in means if 0 < m <= 1]
@@ -467,6 +470,24 @@ class TestEstimateDeltaReference:
                 # threshold the float sum could not decide.
                 assert len(calls) > est.qualifying
                 assert est == reference_estimate(c, x, trials, seed)
+
+
+    @pytest.mark.parametrize("x,seed", [(100, 3), (1000, 7), (20000, 1), (300.5, 11)])
+    def test_thresholds_at_a_candidates_exact_mean_on_two_cpus(self, x, seed, monkeypatch):
+        # The same thresholds with the candidates split over two processes.
+        set_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        trials = 12
+        means = [abs(mean(f.values_upto(x), x)) for _, f in reference_candidates(x, trials, seed)]
+        means = [m for m in means if 0 < m <= 1]
+        for m in sorted(set(means))[:: max(len(means) // 4, 1)]:
+            for c in (m, math.nextafter(m, 0.0), math.nextafter(m, 2.0)):
+                if not 0 < c <= 1:
+                    continue
+                forks.clear()
+                assert estimate_delta(c, x, trials, seed) == reference_estimate(c, x, trials, seed)
+                assert len(forks) == 1
+                assert_no_child_left()
 
 
 class TestEstimateDelta:
@@ -661,7 +682,9 @@ class TestCounterexampleSearch:
 def test_one_spf_sieve_per_call(call, limit, monkeypatch):
     # Each call runs one expansion plan, which sieves its blocks as it goes;
     # no library route builds a length-limit factor table with build_spf,
-    # the tabulation API and the tests' reference.
+    # the tabulation API and the tests' reference. Both are seen in this
+    # process only, so one CPU keeps every block here.
+    set_cpus(monkeypatch, 1)
     plans = []
 
     def counting(n):
@@ -749,3 +772,33 @@ class TestBurgessScan:
         for theta in (0.0, 1.2, -0.3):
             with pytest.raises(ValueError):
                 burgess_scan(19, [theta])
+
+
+@pytest.mark.parametrize(
+    "call, limit",
+    [
+        (lambda: lemma_b_report(CMF.liouville(5000), 5000), 5000),
+        (lambda: estimate_delta(0.5, 5000, 3, seed=0), 5000),
+    ],
+    ids=["lemma_b_report", "estimate_delta"],
+)
+def test_one_spf_sieve_per_call_on_two_cpus(call, limit, monkeypatch):
+    # The plan is made here, once, and the helper reads it as forked.
+    set_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    plans = []
+
+    def counting(n):
+        plans.append(n)
+        return _expansion_plan(n)
+
+    def no_table(n):
+        raise AssertionError(f"a length-{n} factor table was built")
+
+    for module in (arith, sums, experiments):
+        monkeypatch.setattr(module, "_expansion_plan", counting)
+        monkeypatch.setattr(module, "build_spf", no_table, raising=False)
+    call()
+    assert plans == [limit]
+    assert len(forks) == 1
+    assert_no_child_left()

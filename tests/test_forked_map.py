@@ -1,5 +1,5 @@
-"""cli._forked_map and the two commands on it: order, placement, failures,
-interrupts and reaping.
+"""workers._forked_map and the two commands that call it from cli: order,
+placement, failures, interrupts and reaping.
 
 Chunk i runs on process i mod workers, this process being process 0. The
 results must come back in order, a failure on either side must kill and
@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from charscan import cli
+from charscan import cli, workers
 from charscan.arith import sieve_primes
 from charscan.cli import main
 from test_counterexample_reference import (
@@ -27,8 +27,8 @@ from test_counterexample_reference import (
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="helpers need os.fork")
 
 
-def results(chunk, count, workers):
-    with cli._forked_map(chunk, count, workers) as got:
+def results(chunk, count, processes):
+    with workers._forked_map(chunk, count, processes) as got:
         return list(got)
 
 
@@ -67,7 +67,7 @@ class TestForkedMap:
             return i
 
         got = []
-        with cli._forked_map(chunk, 4, 2) as results:
+        with workers._forked_map(chunk, 4, 2) as results:
             for i in results:
                 got.append(i)
                 if i == 1:
@@ -90,6 +90,27 @@ class TestForkedMap:
         assert len(forks) == 2
         assert_no_child_left()
 
+    @pytest.mark.parametrize("failing", [1, 2, 5])
+    def test_helper_value_error_is_raised_here(self, failing, monkeypatch):
+        # As on the one-process route, where the caller maps it to exit 3,
+        # not to the I/O failure of a helper that ended early.
+        parent = os.getpid()
+        forks = count_forks(monkeypatch)
+
+        def chunk(i):
+            if i == failing and os.getpid() != parent:
+                raise ValueError(f"chunk {i} is out of range")
+            return i
+
+        with pytest.raises(ValueError, match=f"^chunk {failing} is out of range$"):
+            results(chunk, 9, 3)
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_cli_keeps_the_names_bound(self):
+        for name in ("_allowed_cpus", "_forked_map", "_received", "_serve"):
+            assert getattr(cli, name) is getattr(workers, name)
+
     def test_parent_failure_kills_and_reaps_every_helper(self, monkeypatch):
         forks = count_forks(monkeypatch)
         kills = []
@@ -101,7 +122,7 @@ class TestForkedMap:
 
         monkeypatch.setattr(os, "kill", kill)
         with pytest.raises(KeyboardInterrupt):
-            with cli._forked_map(lambda i: i, 9, 3) as got:
+            with workers._forked_map(lambda i: i, 9, 3) as got:
                 assert next(got) == 0
                 raise KeyboardInterrupt
         assert kills == forks and len(forks) == 2
